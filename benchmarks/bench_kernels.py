@@ -4,13 +4,18 @@ Unlike the artifact benches (which time *regenerating* a paper table),
 these measure the real Python/NumPy execution speed of the core kernels —
 the numbers a developer profiling this library cares about.
 
-The ``test_block_dot`` / ``test_block_axpy`` / ``test_block_update`` /
-``test_trsm`` benches run once per kernel-execution engine (``loop`` vs
-``batched``) in the many-ranks strong-scaling regime where per-rank
-Python dispatch dominates; ``scripts/compare_bench.py --check-speedup``
-gates CI on the batched engine staying >= 1.5x faster on block_dot and
-block_axpy.  Each engine bench also records the *modeled* seconds one
-call charges, so ``BENCH_kernels.json`` tracks modeled vs. wall time.
+The ``test_block_dot`` / ``test_block_dot_fused`` / ``test_block_axpy`` /
+``test_block_update`` / ``test_trsm`` benches run once per operand
+layout in the many-ranks strong-scaling regime where per-rank Python
+dispatch dominates: ``[stacked]`` operands carry the contiguous
+``(ranks, rows, k)`` stack, so the kernel engine runs one batched kernel;
+``[shards]`` operands are built from caller-supplied shards, have no
+stack, and take the engine's per-shard path.
+``scripts/compare_bench.py --check-speedup`` gates CI on the stacked path
+staying >= 1.5x faster on block_dot and block_axpy — the reason the
+engine runs stacked whenever it can.  Each layout bench also records the
+*modeled* seconds one call charges (identical for both layouts), so
+``BENCH_kernels.json`` tracks modeled vs. wall time.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.distla import blas
 from repro.distla.multivector import DistMultiVector
 from repro.krylov.simulation import Simulation
@@ -37,12 +41,15 @@ from repro.parallel.tracing import Tracer
 N = 120_000
 K = 30
 
-#: Engine-comparison setting: the strong-scaling regime (many ranks,
+#: Layout-comparison setting: the strong-scaling regime (many ranks,
 #: small per-rank shards) where the paper's machines actually operate and
-#: where per-rank Python dispatch is the bottleneck the batched engine
-#: removes.
+#: where per-rank Python dispatch is the bottleneck the stacked kernels
+#: remove.
 ENGINE_N = 8_192
 ENGINE_RANKS = 64
+
+#: Operand layouts of the engine benches (see the module docstring).
+LAYOUTS = ["shards", "stacked"]
 
 
 @pytest.fixture
@@ -58,72 +65,80 @@ def dist_setup():
     return comm, part, basis
 
 
-@pytest.fixture
-def engine_setup():
-    """Strong-scaling operands for the engine comparison benches."""
+def _operand(part, comm, arr, layout):
+    """``arr`` distributed over ``part`` in the given operand layout."""
+    if layout == "stacked":
+        return DistMultiVector.from_global(arr, part, comm)
+    return DistMultiVector(part, comm, [np.array(arr[part.local_slice(r)])
+                                        for r in range(part.ranks)])
+
+
+@pytest.fixture(params=LAYOUTS)
+def engine_setup(request, benchmark):
+    """Strong-scaling operands for the layout comparison benches:
+    ``(comm, make, basis)`` with ``make(k)`` a zero k-column operand in
+    the same layout as ``basis``."""
+    layout = request.param
+    benchmark.extra_info["layout"] = layout
+    benchmark.extra_info["ranks"] = ENGINE_RANKS
     comm = SimComm(generic_cpu(), ENGINE_RANKS, Tracer())
     part = Partition(ENGINE_N, ENGINE_RANKS)
     rng = np.random.default_rng(0)
-    basis = DistMultiVector.from_global(
-        rng.standard_normal((ENGINE_N, K)), part, comm)
-    return comm, part, basis
+    basis = _operand(part, comm, rng.standard_normal((ENGINE_N, K)), layout)
+    assert (basis.stack is None) == (layout == "shards")
+
+    def make(k):
+        return _operand(part, comm, np.zeros((ENGINE_N, k)), layout)
+
+    return comm, make, basis
 
 
-def _bench_engine(benchmark, engine, comm, op):
-    """Benchmark ``op`` under ``engine``, recording modeled seconds too."""
-    with config.engine_scope(engine):
-        before = comm.tracer.clock
-        op()
-        benchmark.extra_info["engine"] = engine
-        benchmark.extra_info["ranks"] = ENGINE_RANKS
-        benchmark.extra_info["modeled_seconds"] = comm.tracer.clock - before
-        benchmark(op)
+def _bench_layout(benchmark, comm, op):
+    """Benchmark ``op``, recording modeled seconds too."""
+    before = comm.tracer.clock
+    op()
+    benchmark.extra_info["modeled_seconds"] = comm.tracer.clock - before
+    benchmark(op)
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
-def test_block_dot(benchmark, engine_setup, engine):
-    comm, part, basis = engine_setup
+def test_block_dot(benchmark, engine_setup):
+    comm, _, basis = engine_setup
     q = basis.view_cols(slice(0, 25))
     v = basis.view_cols(slice(25, 30))
-    _bench_engine(benchmark, engine, comm, lambda: blas.block_dot(q, v))
+    _bench_layout(benchmark, comm, lambda: blas.block_dot(q, v))
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
-def test_block_dot_fused(benchmark, engine_setup, engine):
-    comm, part, basis = engine_setup
+def test_block_dot_fused(benchmark, engine_setup):
+    comm, _, basis = engine_setup
     q = basis.view_cols(slice(0, 25))
     v = basis.view_cols(slice(25, 30))
-    _bench_engine(benchmark, engine, comm,
+    _bench_layout(benchmark, comm,
                   lambda: blas.block_dot_multi([(q, v), (v, v)]))
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
-def test_block_axpy(benchmark, engine_setup, engine):
-    comm, part, basis = engine_setup
+def test_block_axpy(benchmark, engine_setup):
+    comm, make, basis = engine_setup
     v = basis.view_cols(slice(25, 30))
-    out = DistMultiVector.zeros(part, comm, 5)
-    _bench_engine(benchmark, engine, comm,
+    out = make(5)
+    _bench_layout(benchmark, comm,
                   lambda: blas.lincomb(out, [(1.0, out), (-0.5, v)]))
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
-def test_block_update(benchmark, engine_setup, engine):
-    comm, part, basis = engine_setup
+def test_block_update(benchmark, engine_setup):
+    comm, _, basis = engine_setup
     q = basis.view_cols(slice(0, 25))
     v = basis.view_cols(slice(25, 30))
     r = np.zeros((25, 5))
-    _bench_engine(benchmark, engine, comm,
-                  lambda: blas.block_update(v, q, r))
+    _bench_layout(benchmark, comm, lambda: blas.block_update(v, q, r))
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
-def test_trsm(benchmark, engine_setup, engine):
-    comm, part, basis = engine_setup
+def test_trsm(benchmark, engine_setup):
+    comm, _, basis = engine_setup
     v = basis.view_cols(slice(25, 30))
     # Identity R: full dtrsm work, but iterating the bench cannot drift v
     # into denormals/overflow and skew the timing.
     r = np.eye(5)
-    _bench_engine(benchmark, engine, comm, lambda: blas.trsm_inplace(v, r))
+    _bench_layout(benchmark, comm, lambda: blas.trsm_inplace(v, r))
 
 
 def test_bcgs_pip_panel(benchmark, dist_setup):

@@ -1,7 +1,7 @@
 """Matrix powers kernel benchmarks -> ``BENCH_mpk.json``.
 
 Standard vs communication-avoiding basis generation (one restart cycle
-of s-step panels) under both kernel engines.  Each bench asserts the
+of s-step panels).  Each bench asserts the
 CA contract — bit-identical basis, exactly one halo exchange per panel
 against ``s`` for the standard kernel — and records the modeled
 seconds, halo counts and (for CA) a latency-dominated regime's modeled
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.experiments.ca_mpk_tradeoff import _summit_lat, generate_basis
 from repro.krylov.sstep_gmres import _panel_bounds
 from repro.parallel.machine import summit
@@ -32,30 +31,26 @@ def _gen(machine, mode):
                           restart=RESTART)
 
 
-def _record(benchmark, stats, engine=None):
+def _record(benchmark, stats):
     benchmark.extra_info["ranks"] = RANKS
     benchmark.extra_info["n"] = NX * NX
     benchmark.extra_info["modeled_seconds"] = stats["seconds"]
     benchmark.extra_info["halo_count"] = stats["halo_count"]
-    if engine is not None:
-        benchmark.extra_info["engine"] = engine
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
 @pytest.mark.parametrize("mode", ["standard", "ca"])
-def test_mpk_basis(benchmark, check, mode, engine):
-    with config.engine_scope(engine):
-        stats = _gen(summit(), mode)
-        if mode == "ca":
-            ref = _gen(summit(), "standard")
-            check(np.array_equal(stats["basis"], ref["basis"]),
-                  "CA-MPK generates a bit-identical basis to the standard "
-                  "kernel")
-        expected = PANELS if mode == "ca" else RESTART
-        check(stats["halo_count"] == expected,
-              f"{mode} MPK charges {expected} halo exchanges per cycle")
-        _record(benchmark, stats, engine=engine)
-        benchmark(lambda: _gen(summit(), mode))
+def test_mpk_basis(benchmark, check, mode):
+    stats = _gen(summit(), mode)
+    if mode == "ca":
+        ref = _gen(summit(), "standard")
+        check(np.array_equal(stats["basis"], ref["basis"]),
+              "CA-MPK generates a bit-identical basis to the standard "
+              "kernel")
+    expected = PANELS if mode == "ca" else RESTART
+    check(stats["halo_count"] == expected,
+          f"{mode} MPK charges {expected} halo exchanges per cycle")
+    _record(benchmark, stats)
+    benchmark(lambda: _gen(summit(), mode))
 
 
 def test_mpk_ca_latency_speedup(benchmark, check):

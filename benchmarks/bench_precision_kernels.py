@@ -4,12 +4,12 @@ Emits the ``BENCH_precision.json`` artifact (see ``conftest.py``'s alias
 map).  Three groups:
 
 * ``test_block_dot`` / ``test_block_update`` — the hot costed-BLAS
-  kernels over fp64 vs fp32 storage under both engines, in a
+  kernels over fp64 vs fp32 storage, in a
   bandwidth-bound regime (15k rows per rank).  Each bench records the
   *modeled* seconds one call charges and asserts the storage-precision
   claim the subsystem exists for: fp32 panels are charged roughly half
   the fp64 bytes, so the bytes-dominated modeled time drops
-  accordingly — and both engines charge identically.
+  accordingly.
 * ``test_driver_mixed_two_stage`` — the dd-Gram two-stage scheme at a
   condition number (1e9) past the classical Pythagorean-Cholesky cliff,
   asserting the classical scheme breaks down where the mixed-precision
@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.distla import blas as dblas
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import CholeskyBreakdownError
@@ -64,43 +63,37 @@ def _modeled(comm, fn) -> float:
     return comm.tracer.clock - before
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
 @pytest.mark.parametrize("storage", ["fp64", "fp32"])
-def test_block_dot(benchmark, check, storage, engine):
+def test_block_dot(benchmark, check, storage):
     comm, q, v = _operands(storage)
-    with config.engine_scope(engine):
-        modeled = _modeled(comm, lambda: dblas.block_dot(q, v))
-        if storage == "fp32":
-            comm64, q64, v64 = _operands("fp64")
-            ref = _modeled(comm64, lambda: dblas.block_dot(q64, v64))
-            check(modeled < 0.65 * ref,
-                  "fp32 storage must charge roughly half the fp64 bytes "
-                  "on the bandwidth-bound Gram GEMM")
-        benchmark.extra_info["storage"] = storage
-        benchmark.extra_info["engine"] = engine
-        benchmark.extra_info["ranks"] = RANKS
-        benchmark.extra_info["modeled_seconds"] = modeled
-        benchmark(lambda: dblas.block_dot(q, v))
+    modeled = _modeled(comm, lambda: dblas.block_dot(q, v))
+    if storage == "fp32":
+        comm64, q64, v64 = _operands("fp64")
+        ref = _modeled(comm64, lambda: dblas.block_dot(q64, v64))
+        check(modeled < 0.65 * ref,
+              "fp32 storage must charge roughly half the fp64 bytes "
+              "on the bandwidth-bound Gram GEMM")
+    benchmark.extra_info["storage"] = storage
+    benchmark.extra_info["ranks"] = RANKS
+    benchmark.extra_info["modeled_seconds"] = modeled
+    benchmark(lambda: dblas.block_dot(q, v))
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
 @pytest.mark.parametrize("storage", ["fp64", "fp32"])
-def test_block_update(benchmark, check, storage, engine):
+def test_block_update(benchmark, check, storage):
     comm, q, v = _operands(storage)
     r = np.random.default_rng(1).standard_normal((KQ, KV))
-    with config.engine_scope(engine):
-        modeled = _modeled(comm, lambda: dblas.block_update(v, q, r))
-        if storage == "fp32":
-            comm64, q64, v64 = _operands("fp64")
-            ref = _modeled(comm64, lambda: dblas.block_update(v64, q64, r))
-            check(modeled < 0.65 * ref,
-                  "fp32 storage must charge roughly half the fp64 bytes "
-                  "on the tall panel update")
-        benchmark.extra_info["storage"] = storage
-        benchmark.extra_info["engine"] = engine
-        benchmark.extra_info["ranks"] = RANKS
-        benchmark.extra_info["modeled_seconds"] = modeled
-        benchmark(lambda: dblas.block_update(v, q, r))
+    modeled = _modeled(comm, lambda: dblas.block_update(v, q, r))
+    if storage == "fp32":
+        comm64, q64, v64 = _operands("fp64")
+        ref = _modeled(comm64, lambda: dblas.block_update(v64, q64, r))
+        check(modeled < 0.65 * ref,
+              "fp32 storage must charge roughly half the fp64 bytes "
+              "on the tall panel update")
+    benchmark.extra_info["storage"] = storage
+    benchmark.extra_info["ranks"] = RANKS
+    benchmark.extra_info["modeled_seconds"] = modeled
+    benchmark(lambda: dblas.block_update(v, q, r))
 
 
 def test_driver_mixed_two_stage(benchmark, check):

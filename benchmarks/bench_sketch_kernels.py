@@ -3,11 +3,10 @@
 Emits the ``BENCH_sketch.json`` artifact (see ``conftest.py``'s alias
 map).  Three groups:
 
-* ``test_sketch_apply`` — the distributed shard-local sketch under both
-  kernel engines and all three operator families, in the many-ranks
-  strong-scaling regime of ``bench_kernels.py``; each bench records the
-  *modeled* seconds one application charges, which must be identical
-  across engines (the cost-equivalence invariant).
+* ``test_sketch_apply`` — the distributed shard-local sketch for all
+  three operator families, in the many-ranks strong-scaling regime of
+  ``bench_kernels.py``; each bench records the *modeled* seconds one
+  application charges.
 * ``test_sketched_cholqr`` — the randomized intra-block factorization
   on the distributed backend.
 * ``test_driver_*`` — full :class:`BlockDriver` runs of the randomized
@@ -21,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.distla.multivector import DistMultiVector
 from repro.matrices.synthetic import logscaled_matrix
 from repro.ortho import get_intra_qr, get_scheme
@@ -34,7 +32,7 @@ from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
 from repro.sketch import make_operator, sketch_multivector, sketch_rows
 
-#: Strong-scaling regime of the engine benches in ``bench_kernels.py``.
+#: Strong-scaling regime of the layout benches in ``bench_kernels.py``.
 ENGINE_N = 8_192
 ENGINE_RANKS = 64
 K = 30
@@ -50,21 +48,18 @@ def sketch_setup():
     return comm, part, basis
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
 @pytest.mark.parametrize("family", ["sparse", "gaussian", "srht"])
-def test_sketch_apply(benchmark, sketch_setup, engine, family):
+def test_sketch_apply(benchmark, sketch_setup, family):
     comm, part, basis = sketch_setup
     m = sketch_rows(K, ENGINE_N, family=family)
     op = make_operator(family, ENGINE_N, m, seed=0xC0FFEE)
-    with config.engine_scope(engine):
-        before = comm.tracer.clock
-        sketch_multivector(basis, op)
-        benchmark.extra_info["engine"] = engine
-        benchmark.extra_info["family"] = family
-        benchmark.extra_info["ranks"] = ENGINE_RANKS
-        benchmark.extra_info["m_rows"] = m
-        benchmark.extra_info["modeled_seconds"] = comm.tracer.clock - before
-        benchmark(lambda: sketch_multivector(basis, op))
+    before = comm.tracer.clock
+    sketch_multivector(basis, op)
+    benchmark.extra_info["family"] = family
+    benchmark.extra_info["ranks"] = ENGINE_RANKS
+    benchmark.extra_info["m_rows"] = m
+    benchmark.extra_info["modeled_seconds"] = comm.tracer.clock - before
+    benchmark(lambda: sketch_multivector(basis, op))
 
 
 def test_sketched_cholqr(benchmark):

@@ -2,7 +2,7 @@
 
 The solver-level baseline CI gates: one full solve per configuration on
 a 2-D Laplacian, covering the paper's classical pipeline (BCGS-PIP2 and
-the two-stage scheme) under both kernel engines plus the randomized
+the two-stage scheme) plus the randomized
 solve path added with the sketching subsystem (fused
 ``SketchedTwoStageScheme`` + ``solve_mode="sketched"``).  Each bench
 asserts its qualitative claim (convergence; the two-stage
@@ -14,9 +14,6 @@ the artifact.
 
 from __future__ import annotations
 
-import pytest
-
-from repro import config
 from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -33,34 +30,29 @@ RESTART = 30
 TOL = 1e-8
 
 
-def _solve(scheme_factory, engine=None, options=None):
-    sim = Simulation(laplace2d(NX), ranks=RANKS, machine=generic_cpu(),
-                     engine=engine)
+def _solve(scheme_factory, options=None):
+    sim = Simulation(laplace2d(NX), ranks=RANKS, machine=generic_cpu())
     b = sim.ones_solution_rhs()
     return sstep_gmres(sim, b, s=S, restart=RESTART, tol=TOL,
                        maxiter=6000, scheme=scheme_factory(),
                        options=options)
 
 
-def _record(benchmark, res, engine=None):
+def _record(benchmark, res):
     benchmark.extra_info["ranks"] = RANKS
     benchmark.extra_info["n"] = NX * NX
     benchmark.extra_info["iterations"] = res.iterations
     benchmark.extra_info["sync_count"] = res.sync_count
     benchmark.extra_info["modeled_seconds"] = res.total_time
-    if engine is not None:
-        benchmark.extra_info["engine"] = engine
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
-def test_solve_two_stage(benchmark, check, engine):
-    with config.engine_scope(engine):
-        factory = lambda: TwoStageScheme(big_step=RESTART)  # noqa: E731
-        res = _solve(factory, engine=engine)
-        check(res.converged, "two-stage s-step GMRES converges on the "
-                             "Laplacian")
-        _record(benchmark, res, engine=engine)
-        benchmark(lambda: _solve(factory, engine=engine))
+def test_solve_two_stage(benchmark, check):
+    factory = lambda: TwoStageScheme(big_step=RESTART)  # noqa: E731
+    res = _solve(factory)
+    check(res.converged, "two-stage s-step GMRES converges on the "
+                         "Laplacian")
+    _record(benchmark, res)
+    benchmark(lambda: _solve(factory))
 
 
 def test_solve_bcgs_pip2(benchmark, check):

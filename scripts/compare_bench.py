@@ -11,9 +11,10 @@ Two checks, combinable in one invocation:
   shared names fails, because a rename must not turn the gate green by
   vacuity — pass ``--allow-disjoint`` for intentional wholesale renames;
 * speedup gate (``--check-speedup NAME``): within the *current* artifact,
-  ``NAME[batched]`` must be at least ``--min-speedup`` (default 1.5x)
-  faster than ``NAME[loop]`` — the engine claim this repo's CI enforces
-  on ``test_block_dot`` and ``test_block_axpy``.
+  ``NAME[stacked]`` must be at least ``--min-speedup`` (default 1.5x)
+  faster than ``NAME[shards]`` — the claim behind the kernel engine
+  running stacked whenever its operands allow, which this repo's CI
+  enforces on ``test_block_dot`` and ``test_block_axpy``.
 
 A candidate artifact that is *missing* an entry referenced by
 ``--check-speedup`` is a configuration error, not a failed gate — the
@@ -55,10 +56,12 @@ def main(argv: list[str] | None = None) -> int:
                         "no benchmark names (intentional wholesale rename)")
     parser.add_argument("--check-speedup", action="append", default=[],
                         metavar="NAME",
-                        help="require NAME[batched] >= --min-speedup x faster "
-                        "than NAME[loop] in the current artifact (repeatable)")
+                        help="require NAME[stacked] >= --min-speedup x faster "
+                        "than NAME[shards] in the current artifact "
+                        "(repeatable)")
     parser.add_argument("--min-speedup", type=float, default=1.5,
-                        help="required batched-vs-loop speedup (default: 1.5)")
+                        help="required stacked-vs-shards speedup "
+                        "(default: 1.5)")
     args = parser.parse_args(argv)
 
     baseline = load_artifact(args.baseline)
@@ -94,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         candidate = args.current if args.current else args.baseline
         have = set(current.names())
         missing = [entry for name in args.check_speedup
-                   for entry in (f"{name}[loop]", f"{name}[batched]")
+                   for entry in (f"{name}[shards]", f"{name}[stacked]")
                    if entry not in have]
         if missing:
             # Hard error, not a failed gate: the artifact cannot answer
@@ -107,10 +110,10 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     for name in args.check_speedup:
-        speedup = current.speedup(f"{name}[loop]", f"{name}[batched]")
+        speedup = current.speedup(f"{name}[shards]", f"{name}[stacked]")
         ok = speedup >= args.min_speedup
         tag = "ok" if ok else "TOO SLOW"
-        print(f"speedup {tag}: {name} batched is {speedup:.2f}x vs loop "
+        print(f"speedup {tag}: {name} stacked is {speedup:.2f}x vs shards "
               f"(required {args.min_speedup:.2f}x)")
         failed = failed or not ok
 

@@ -101,7 +101,6 @@ def collect_environment() -> dict:
     import numpy
     import scipy
 
-    from repro import config
     from repro._version import __version__
 
     return {
@@ -112,7 +111,6 @@ def collect_environment() -> dict:
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "default_engine": config.get_engine(),
         "argv": " ".join(sys.argv[:4]),
     }
 

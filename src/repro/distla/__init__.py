@@ -5,15 +5,16 @@ blocks of vectors) and :class:`DistSparseMatrix` (block-row CSR with a
 precomputed halo-exchange plan).  All numerically-relevant operations are
 routed through :mod:`repro.distla.blas` / :mod:`repro.distla.spmv`, which
 perform the per-rank computation and charge modeled time.  How the
-per-rank work executes is pluggable (:mod:`repro.distla.engine`): the
-``"loop"`` reference engine or the ``"batched"`` engine running stacked
-shards as single batched kernels, selected via :func:`repro.config.set_engine`.
+per-rank work executes is decided by one kernel engine
+(:data:`repro.distla.engine.ENGINE`): uniform partitions run as single
+batched kernels over the stacked shards, anything without a stack runs
+one kernel per shard.
 """
 
 from repro.distla.halo import GhostPlan, HaloPlan
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
-from repro.distla.engine import BatchedEngine, KernelEngine, LoopEngine
+from repro.distla.engine import BatchedEngine, LoopEngine
 from repro.distla.blas import (
     block_dot,
     block_dot_multi,
@@ -29,7 +30,6 @@ __all__ = [
     "DistSparseMatrix",
     "GhostPlan",
     "HaloPlan",
-    "KernelEngine",
     "LoopEngine",
     "BatchedEngine",
     "block_dot",

@@ -9,28 +9,20 @@ Kernel attribution matches the paper's breakdown figures: Gram/projection
 GEMMs are charged to ``dot`` (paper: "dot-products"), tall ``V -= Q R``
 GEMMs to ``update`` ("vector-updates"), triangular scaling to ``trsm``.
 
-Execution strategy is pluggable: this module validates shapes and then
-dispatches to a :mod:`repro.distla.engine` kernel engine — the per-rank
-``"loop"`` reference or the ``"batched"`` stacked path — resolved from
-the optional ``engine`` argument, the communicator binding, or
-:func:`repro.config.get_engine`.  Both engines produce the same reduction
-order and charge identical modeled costs.
+This module validates shapes and then dispatches to
+:data:`repro.distla.engine.ENGINE`, which runs each kernel stacked or
+per shard depending on its operands.  Both paths produce the same
+reduction order and charge identical modeled costs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
 from repro.dd.linalg import matmul_dd
-from repro.distla import engine as _engine
+from repro.distla.engine import ENGINE
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
-
-#: What the ``engine`` argument accepts: a name, an engine instance, or
-#: None (defer to the communicator binding / process default).
-EngineLike = Optional[Union[str, _engine.KernelEngine]]
 
 
 def _check_same_partition(*mvs: DistMultiVector) -> None:
@@ -46,8 +38,7 @@ def _check_same_partition(*mvs: DistMultiVector) -> None:
 # reductions
 # ---------------------------------------------------------------------------
 
-def block_dot(x: DistMultiVector, y: DistMultiVector,
-              engine: EngineLike = None) -> np.ndarray:
+def block_dot(x: DistMultiVector, y: DistMultiVector) -> np.ndarray:
     """Global ``X.T @ Y`` — one GEMM per rank + one allreduce.
 
     Returns the ``(kx, ky)`` result, replicated (conceptually) on every
@@ -55,11 +46,11 @@ def block_dot(x: DistMultiVector, y: DistMultiVector,
     redundantly on all the MPI processes".
     """
     _check_same_partition(x, y)
-    return _engine.resolve(engine, x.comm).block_dot(x, y)
+    return ENGINE.block_dot(x, y)
 
 
-def block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
-                    engine: EngineLike = None) -> list[np.ndarray]:
+def block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]]
+                    ) -> list[np.ndarray]:
     """Several ``X.T @ Y`` products fused into a *single* allreduce.
 
     This is the communication pattern that makes BCGS-PIP a "single-reduce"
@@ -73,12 +64,12 @@ def block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
         _check_same_partition(x, y)
         if x.comm is not comm:
             raise ShapeError("fused dots must share a communicator")
-    return _engine.resolve(engine, comm).block_dot_multi(pairs)
+    return ENGINE.block_dot_multi(pairs)
 
 
 def block_dot_batched(groups: list[list[tuple[DistMultiVector,
-                                              DistMultiVector]]],
-                      engine: EngineLike = None) -> list[list[np.ndarray]]:
+                                              DistMultiVector]]]
+                      ) -> list[list[np.ndarray]]:
     """One :func:`block_dot_multi` per member, ONE charged pass overall.
 
     ``groups`` holds one pair-list per batch member (one solve's fused
@@ -105,12 +96,11 @@ def block_dot_batched(groups: list[list[tuple[DistMultiVector,
         with batch.group():
             for pairs in groups:
                 with batch.member():
-                    out.append(block_dot_multi(pairs, engine=engine))
+                    out.append(block_dot_multi(pairs))
     return out
 
 
-def post_block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
-                         engine: EngineLike = None):
+def post_block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]]):
     """Posted :func:`block_dot_multi`: partials and their charges now,
     the fused allreduce posted nonblocking.
 
@@ -128,7 +118,7 @@ def post_block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
         _check_same_partition(x, y)
         if x.comm is not comm:
             raise ShapeError("fused dots must share a communicator")
-    return _engine.resolve(engine, comm).post_block_dot_multi(pairs)
+    return ENGINE.post_block_dot_multi(pairs)
 
 
 def dot_dd_dist(x: DistMultiVector, y: DistMultiVector
@@ -165,10 +155,9 @@ def dot_dd_dist(x: DistMultiVector, y: DistMultiVector
     return comm.allreduce_dd(his, los)
 
 
-def column_norms(x: DistMultiVector,
-                 engine: EngineLike = None) -> np.ndarray:
+def column_norms(x: DistMultiVector) -> np.ndarray:
     """2-norms of each column (one fused allreduce)."""
-    return _engine.resolve(engine, x.comm).column_norms(x)
+    return ENGINE.column_norms(x)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +165,7 @@ def column_norms(x: DistMultiVector,
 # ---------------------------------------------------------------------------
 
 def block_update(v: DistMultiVector, q: DistMultiVector,
-                 r: np.ndarray, engine: EngineLike = None) -> None:
+                 r: np.ndarray) -> None:
     """In-place tall update ``V -= Q @ R`` (no communication).
 
     ``r`` is the replicated small matrix from a previous reduction.
@@ -186,47 +175,44 @@ def block_update(v: DistMultiVector, q: DistMultiVector,
     if r.shape != (q.n_cols, v.n_cols):
         raise ShapeError(
             f"R has shape {r.shape}, expected ({q.n_cols}, {v.n_cols})")
-    _engine.resolve(engine, v.comm).block_update(v, q, r)
+    ENGINE.block_update(v, q, r)
 
 
-def trsm_inplace(v: DistMultiVector, r: np.ndarray,
-                 engine: EngineLike = None) -> None:
+def trsm_inplace(v: DistMultiVector, r: np.ndarray) -> None:
     """In-place ``V <- V @ R^{-1}`` with upper-triangular replicated ``R``."""
     r = np.asarray(r, dtype=np.float64)
     k = v.n_cols
     if r.shape != (k, k):
         raise ShapeError(f"R has shape {r.shape}, expected ({k}, {k})")
-    _engine.resolve(engine, v.comm).trsm_inplace(v, r)
+    ENGINE.trsm_inplace(v, r)
 
 
-def scale_columns(v: DistMultiVector, scales: np.ndarray,
-                  engine: EngineLike = None) -> None:
+def scale_columns(v: DistMultiVector, scales: np.ndarray) -> None:
     """In-place per-column scaling ``V[:, j] *= scales[j]``."""
     scales = np.asarray(scales, dtype=np.float64)
     if scales.shape != (v.n_cols,):
         raise ShapeError(f"scales has shape {scales.shape}, expected ({v.n_cols},)")
-    _engine.resolve(engine, v.comm).scale_columns(v, scales)
+    ENGINE.scale_columns(v, scales)
 
 
-def lincomb(out: DistMultiVector, terms: list[tuple[float, DistMultiVector]],
-            engine: EngineLike = None) -> None:
+def lincomb(out: DistMultiVector,
+            terms: list[tuple[float, DistMultiVector]]) -> None:
     """``out <- sum_i alpha_i X_i`` (streaming axpy chain, no comm)."""
     if not terms:
         out.fill(0.0)
         return
     _check_same_partition(out, *[t[1] for t in terms])
-    _engine.resolve(engine, out.comm).lincomb(out, terms)
+    ENGINE.lincomb(out, terms)
 
 
-def copy_into(dst: DistMultiVector, src: DistMultiVector,
-              engine: EngineLike = None) -> None:
+def copy_into(dst: DistMultiVector, src: DistMultiVector) -> None:
     """Costed device copy ``dst <- src`` (one read + one write stream)."""
     _check_same_partition(dst, src)
-    _engine.resolve(engine, dst.comm).copy_into(dst, src)
+    ENGINE.copy_into(dst, src)
 
 
 def matvec_small(v: DistMultiVector, coeffs: np.ndarray,
-                 out: DistMultiVector, engine: EngineLike = None) -> None:
+                 out: DistMultiVector) -> None:
     """``out <- V @ coeffs`` where coeffs is a replicated small matrix.
 
     Used for forming the approximate solution ``x += V_m y`` at the end of
@@ -237,4 +223,4 @@ def matvec_small(v: DistMultiVector, coeffs: np.ndarray,
     if coeffs.shape != (v.n_cols, out.n_cols):
         raise ShapeError(
             f"coeffs has shape {coeffs.shape}, expected ({v.n_cols}, {out.n_cols})")
-    _engine.resolve(engine, v.comm).matvec_small(v, coeffs, out)
+    ENGINE.matvec_small(v, coeffs, out)

@@ -1,37 +1,36 @@
-"""Kernel-execution engines behind the costed block-BLAS layer.
+"""The kernel engine behind the costed block-BLAS layer.
 
 The :mod:`repro.distla.blas` functions describe *what* a distributed
-operation computes and charges; an engine decides *how* the per-rank
-NumPy work executes:
+operation computes and charges; :data:`ENGINE`, the one
+:class:`BatchedEngine` instance every costed call goes to, decides *how*
+the per-rank NumPy work executes.  It picks per call, from the operands:
 
-* :class:`LoopEngine` — the reference path: one Python-level BLAS call
-  per simulated rank (one GEMM per shard, one cost evaluation per rank).
-* :class:`BatchedEngine` — executes equal-sized shards as a single
-  batched kernel over the contiguous ``(ranks, rows, k)`` stack that
+* **stacked** — equal-sized shards run as a single batched kernel over
+  the contiguous ``(ranks, rows, k)`` stack that
   :class:`~repro.distla.multivector.DistMultiVector` keeps for uniform
   partitions: ``block_dot`` becomes one ``matmul`` over the rank axis,
   ``lincomb``/``scale`` become whole-stack streaming ops, and the
-  reduction tree folds with one vectorized add per level.  Any operand
-  without a stack (ragged partition, caller-supplied shards) falls back
-  to the loop path op-by-op, so results and charged costs never depend
-  on which constructor built the vector.
+  reduction tree folds with one vectorized add per level.
+* **per shard** — one Python-level BLAS call per simulated rank (the
+  :class:`LoopEngine` bodies :class:`BatchedEngine` inherits), taken
+  when an operand has no stack (ragged partition, caller-supplied
+  shards) and, for write-heavy streaming kernels, when the stack is
+  larger than :attr:`BatchedEngine.stream_elems_max`.
 
-Both engines preserve the MPI-faithful pairwise reduction order (see
+Both paths preserve the MPI-faithful pairwise reduction order (see
 :class:`~repro.parallel.communicator.SimComm`) and charge identical
 modeled costs: uniform partitions make the per-rank cost formula the
 same on every rank, so ``max(costs)`` equals the single evaluated value.
-
-Selection: pass ``engine="loop"|"batched"`` to a blas call or a
-:class:`~repro.ortho.backend.DistBackend`, bind one per communicator
-(``SimComm(..., engine=...)``), or set the process default through
-:func:`repro.config.set_engine` / the ``REPRO_ENGINE`` variable.
+Results and charges therefore never depend on which path ran, and
+:class:`LoopEngine` doubles as the reference the equivalence tests
+check :class:`BatchedEngine` against.
 
 Storage precision: operands may store ``fp32``/``bf16`` (see
-:mod:`repro.precision`).  Both engines then follow the same contract:
+:mod:`repro.precision`).  Both paths then follow the same contract:
 shard-local partials are *accumulated in float64* (unless every operand
 explicitly opts into native ``fp32`` accumulation), the reduction tree
 is always float64, and results written back into low-precision storage
-are rounded to the storage grid.  Loop and batched paths apply the
+are rounded to the storage grid.  Per-shard and stacked paths apply the
 identical casts in the identical order, so results stay bit-identical
 per dtype, and local kernels are charged at the operands' storage word
 size (``fp32`` panels move half the fp64 bytes).  All-fp64 operands
@@ -42,8 +41,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-
-from repro import config
 
 
 def _all_fp64(*mvs) -> bool:
@@ -73,23 +70,17 @@ def _wb(*mvs) -> float:
     return max(mv.word_bytes for mv in mvs)
 
 
-class KernelEngine:
-    """Common interface; concrete engines implement the kernel bodies."""
-
-    name: str = "abstract"
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
 # ---------------------------------------------------------------------------
-# loop engine (reference semantics)
+# per-shard kernels (reference semantics)
 # ---------------------------------------------------------------------------
 
-class LoopEngine(KernelEngine):
-    """One NumPy call per simulated rank — the reference execution path."""
+class LoopEngine:
+    """One NumPy call per simulated rank — the per-shard execution path.
 
-    name = config.ENGINE_LOOP
+    :class:`BatchedEngine` falls back to these bodies whenever it cannot
+    run stacked, and the equivalence tests call them directly as the
+    reference.
+    """
 
     # -- reductions -----------------------------------------------------
     def block_dot(self, x, y) -> np.ndarray:
@@ -284,17 +275,16 @@ class LoopEngine(KernelEngine):
 
 
 # ---------------------------------------------------------------------------
-# batched engine
+# stacked kernels
 # ---------------------------------------------------------------------------
 
 class BatchedEngine(LoopEngine):
     """Single batched kernels over ``(ranks, rows, k)`` shard stacks.
 
-    Inherits the loop implementations as the ragged/unstacked fallback;
-    every override first checks that all operands carry a stack.
+    Inherits the per-shard implementations as the ragged/unstacked
+    fallback; every override first checks that all operands carry a
+    stack.
     """
-
-    name = config.ENGINE_BATCHED
 
     #: Element cutoff (per operand stack) above which write-heavy kernels
     #: keep the per-rank loop: one rank's shard fits in cache, so the loop
@@ -524,38 +514,7 @@ class BatchedEngine(LoopEngine):
         return results[:-1], results[-1]
 
 
-# ---------------------------------------------------------------------------
-# resolution
-# ---------------------------------------------------------------------------
-
-_INSTANCES: dict[str, KernelEngine] = {
-    config.ENGINE_LOOP: LoopEngine(),
-    config.ENGINE_BATCHED: BatchedEngine(),
-}
-
-# config.validate_engine (used by SimComm/DistBackend constructors) and
-# this dispatch registry must never drift apart, or a name accepted at a
-# binding site would still blow up inside the first BLAS call.
-assert set(_INSTANCES) == set(config.ENGINES), \
-    "engine registry out of sync with repro.config.ENGINES"
-
-
-def get_engine(name: str) -> KernelEngine:
-    """Engine singleton for ``name`` (``"loop"`` or ``"batched"``)."""
-    try:
-        return _INSTANCES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of "
-            f"{tuple(_INSTANCES)}") from None
-
-
-def resolve(engine: "str | KernelEngine | None", comm=None) -> KernelEngine:
-    """Resolve an engine: explicit arg > communicator binding > config."""
-    if isinstance(engine, KernelEngine):
-        return engine
-    if engine is not None:
-        return get_engine(engine)
-    if comm is not None and getattr(comm, "engine", None) is not None:
-        return get_engine(comm.engine)
-    return get_engine(config.get_engine())
+#: The engine every costed BLAS call in :mod:`repro.distla.blas`,
+#: :mod:`repro.sketch.distributed` and
+#: :class:`~repro.ortho.backend.DistBackend` runs on.
+ENGINE = BatchedEngine()

@@ -75,11 +75,6 @@ class HaloPlan:
         self.recv_counts_by_peer = recv_counts_by_peer
         self.halo_counts = halo_counts
 
-    @property
-    def recv_bytes_by_peer(self) -> list[dict[int, float]]:
-        """fp64-sized payload descriptors (legacy accessor)."""
-        return self.recv_bytes(_DOUBLE)
-
     def recv_bytes(self, word_bytes: float = _DOUBLE,
                    n_vectors: int = 1) -> list[dict[int, float]]:
         """Per-rank ``{peer: bytes}`` for exchanging ``n_vectors`` operands

@@ -9,16 +9,16 @@ Trilinos uses with Tpetra MultiVector subviews.
 When the partition is *uniform* (every rank owns the same row count) the
 library constructors additionally back the shards by one contiguous
 ``(ranks, rows, k)`` array, exposed via :attr:`DistMultiVector.stack`.
-The batched execution engine (:mod:`repro.distla.engine`) runs its
-kernels directly on that stack — one batched GEMM over the rank axis
-instead of a Python loop — while the per-rank ``shards`` views stay valid
-for loop-path code and for the simulated sparse kernels.
+The kernel engine (:mod:`repro.distla.engine`) runs its kernels
+directly on that stack — one batched GEMM over the rank axis instead of
+a Python loop — while the per-rank ``shards`` views stay valid for the
+per-shard path and for the simulated sparse kernels.
 
 Storage precision: every multivector carries a storage spec
 (:data:`repro.precision.dtypes.STORAGE_SPECS` — ``"fp64"``/``"fp32"``/
 ``"bf16"``) that decides the shard container dtype and the word size the
 cost model charges.  Low-precision vectors are *storage* formats only:
-the kernel engines accumulate every reduction in float64 and round
+the kernel engine accumulates every reduction in float64 and round
 results back to the storage grid on write (``"bf16"`` values ride in
 float32 containers but are rounded to the bfloat16 grid and charged at
 2 bytes/word).  The default ``"fp64"`` reproduces the historical
@@ -69,7 +69,7 @@ class DistMultiVector:
                        else "fp64")
         elif shards and shards[0].dtype != _pdtypes.container_dtype(storage):
             # A mislabeled vector would silently compute in the wrong
-            # precision AND mischarge bytes (the engines' fast-path and
+            # precision AND mischarge bytes (the engine's fast-path and
             # word-size decisions key off `storage`).
             raise ShapeError(
                 f"shards have dtype {shards[0].dtype}, but storage "
@@ -161,7 +161,7 @@ class DistMultiVector:
         """``(ranks, rows, k)`` array aliasing the shards, or None.
 
         Present only for uniform partitions whose storage was allocated by
-        the library constructors; the batched engine keys off this.
+        the library constructors; the engine runs stacked kernels off it.
         """
         return self._stack
 

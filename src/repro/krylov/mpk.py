@@ -317,7 +317,7 @@ class MatrixPowersKernel:
                 if recurrence:
                     for r in range(ranks):
                         rows = plan.levels[r][depth]
-                        # identical operation order to the engines' lincomb
+                        # identical operation order to the engine's lincomb
                         acc = (1.0 / beta) * v_new[r][rows]
                         acc += (-alpha / beta) * v_k[r][rows]
                         if three_term:

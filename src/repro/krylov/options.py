@@ -8,10 +8,10 @@ one immutable :class:`SolverOptions` value::
     opts = SolverOptions(solve_mode="sketched", mpk_mode="ca")
     result = sstep_gmres(sim, b, s=5, restart=30, options=opts)
 
-The old kwargs still work through a shim that emits
-``DeprecationWarning``; structural parameters that shape the iteration
-itself (``s``, ``restart``, ``tol``, ``maxiter``, ``scheme``, ``basis``,
-``precond``, ``observer``) stay first-class arguments.
+Passing a knob directly as a keyword argument is a :class:`TypeError`;
+structural parameters that shape the iteration itself (``s``,
+``restart``, ``tol``, ``maxiter``, ``scheme``, ``basis``, ``precond``,
+``observer``) stay first-class arguments.
 """
 
 from __future__ import annotations
@@ -163,5 +163,5 @@ class SolverOptions:
         return dataclasses.replace(self, **changes)
 
 
-#: Names the deprecated kwarg shim accepts (= the dataclass fields).
+#: Names of the :class:`SolverOptions` fields (the solver knobs).
 OPTION_FIELD_NAMES = frozenset(f.name for f in fields(SolverOptions))

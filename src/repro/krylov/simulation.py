@@ -11,7 +11,11 @@ matrix is the library's main entry point::
 The ``backend`` argument selects the communicator implementation (see
 :mod:`repro.parallel.api`): ``"sim"`` (default) models every cost,
 ``"mp"`` runs each rank as a real OS process and measures wall clock —
-the identical solver code runs unchanged on either.
+the identical solver code runs unchanged on either.  There is no kernel
+engine to choose: the costed BLAS layer's one engine
+(:data:`repro.distla.engine.ENGINE`) runs stacked kernels on uniform
+partitions and per-shard kernels on ragged ones, with identical results
+and modeled charges.
 """
 
 from __future__ import annotations
@@ -47,12 +51,6 @@ class Simulation:
         ``sim.comm.modeled``).
     partition:
         Optional explicit row partition; defaults to balanced block rows.
-    engine:
-        Kernel-execution engine (``"loop"`` / ``"batched"``) bound to this
-        simulation's communicator and backend; ``None`` defers to the
-        process default (:func:`repro.config.get_engine`).  Both engines
-        charge identical modeled costs, so this only changes host wall
-        time, never the simulated numbers.
     backend:
         Communicator backend, ``"sim"`` (modeled, default) or ``"mp"``
         (real worker processes).  With ``"mp"``, :meth:`close` the
@@ -77,7 +75,6 @@ class Simulation:
                  machine: MachineSpec | None = None,
                  tracer: Tracer | None = None,
                  partition: Partition | None = None,
-                 engine: str | None = None,
                  backend: str = "sim",
                  spans: bool = False,
                  metrics: bool = False) -> None:
@@ -86,15 +83,13 @@ class Simulation:
             partition = Partition(n, ranks)
         elif partition.n_global != n or partition.ranks != ranks:
             raise ShapeError("partition inconsistent with matrix/ranks")
-        self.comm = make_comm(backend, machine, ranks, tracer=tracer,
-                              engine=engine)
+        self.comm = make_comm(backend, machine, ranks, tracer=tracer)
         self.machine = self.comm.machine
         self.tracer = self.comm.tracer
-        self.engine = engine
         self.partition = partition
         self.metrics = None
         self.matrix = DistSparseMatrix(a, partition, self.comm)
-        self.backend = DistBackend(self.comm, engine=engine)
+        self.backend = DistBackend(self.comm)
         if spans:
             self.enable_spans()
         if metrics:

@@ -26,8 +26,6 @@ reuses for free).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 import math
@@ -53,13 +51,7 @@ from repro.krylov.mpk import (
     PreconditionedOperator,
     resolve_mpk_mode,
 )
-from repro.krylov.options import (  # noqa: F401  (re-exported for back-compat)
-    DEFAULT_RESKETCH_THRESHOLD,
-    MPK_SOLVER_MODES,
-    OPTION_FIELD_NAMES,
-    SOLVE_MODES,
-    SolverOptions,
-)
+from repro.krylov.options import SolverOptions
 from repro.krylov.result import ConvergenceHistory, SolveResult
 from repro.krylov.simulation import Simulation
 from repro.obs.telemetry import SolveTelemetry
@@ -76,33 +68,6 @@ from repro.sketch import (
     make_operator,
     sketch_rows,
 )
-
-def _resolve_options(options: SolverOptions | None,
-                     legacy: dict) -> SolverOptions:
-    """Fold the deprecated per-knob kwargs into a :class:`SolverOptions`.
-
-    The three outcomes: clean ``options`` (or none → defaults) passes
-    through; legacy kwargs alone build an equivalent options value and
-    warn; mixing both is a :class:`ConfigurationError` because silently
-    preferring either side would hide a bug at the call site.
-    """
-    if legacy:
-        unknown = sorted(set(legacy) - OPTION_FIELD_NAMES)
-        if unknown:
-            raise TypeError(
-                f"sstep_gmres() got unexpected keyword argument(s) "
-                f"{unknown}")
-        if options is not None:
-            raise ConfigurationError(
-                "pass options=SolverOptions(...) OR the deprecated "
-                f"per-knob keyword arguments {sorted(legacy)}, not both")
-        warnings.warn(
-            f"passing {sorted(legacy)} directly to sstep_gmres() is "
-            "deprecated; bundle them as "
-            "options=SolverOptions(...) instead",
-            DeprecationWarning, stacklevel=3)
-        return SolverOptions(**legacy)
-    return SolverOptions() if options is None else options
 
 
 class _SolveSketch:
@@ -205,8 +170,7 @@ def sstep_gmres(sim: Simulation, b: np.ndarray,
                 basis: str | KrylovBasis = "monomial",
                 precond: Preconditioner | None = None,
                 observer: OrthoObserver | None = None,
-                options: SolverOptions | None = None,
-                **legacy) -> SolveResult:
+                options: SolverOptions | None = None) -> SolveResult:
     """Solve ``A x = b`` with s-step GMRES on the simulated machine.
 
     Parameters
@@ -233,15 +197,8 @@ def sstep_gmres(sim: Simulation, b: np.ndarray,
         docstring for the knob-by-knob reference.  Defaults to
         ``SolverOptions()`` (classical coordinate solve, standard MPK,
         fp64 storage).
-    **legacy:
-        The pre-``SolverOptions`` per-knob keyword arguments
-        (``solve_mode=...``, ``mpk_mode=...``, ...).  Still honoured —
-        folded into an equivalent options value — but they emit
-        ``DeprecationWarning``; combining them with ``options`` raises
-        :class:`ConfigurationError`, and anything that is not a
-        ``SolverOptions`` field raises :class:`TypeError`.
     """
-    opts = _resolve_options(options, legacy)
+    opts = SolverOptions() if options is None else options
     if restart < s:
         raise ConfigurationError(f"restart {restart} must be >= step {s}")
     policy = resolve_policy(opts.precision)

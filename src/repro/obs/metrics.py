@@ -102,8 +102,8 @@ class MetricsRegistry:
         shard shape that every rank executes, so the charge fans the
         queued (flops, bytes) out by the rank count.  Keeps the
         counters the *aggregate over all costed shards* regardless of
-        whether the active engine evaluated per rank (loop) or once
-        per uniform stack (batched).
+        whether the engine evaluated the cost per rank (per-shard path)
+        or once per uniform stack (stacked path).
         """
         if self._pending and factor != 1.0:
             self._pending = [(f * factor, b * factor)

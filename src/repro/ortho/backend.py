@@ -23,15 +23,13 @@ from abc import ABC, abstractmethod
 import numpy as np
 import scipy.linalg
 
-from repro import config
 from repro.distla import blas as dblas
-from repro.distla import engine as dengine
+from repro.distla.engine import ENGINE
 from repro.distla.multivector import DistMultiVector
 from repro.dd.linalg import gram_dd, matmul_dd
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
 from repro.sketch.distributed import sketch_multivector
-from repro.sketch.operators import SparseSignSketch
 
 
 class OrthoBackend(ABC):
@@ -144,17 +142,6 @@ class OrthoBackend(ABC):
         raise NotImplementedError(
             f"{type(self).__name__} has no fused_dots_sketch")
 
-    def sketch_dot(self, v, m_rows: int, seed: int) -> np.ndarray:
-        """CountSketch product ``S @ V`` (legacy signature).
-
-        Thin shim over the :mod:`repro.sketch` subsystem kept for
-        callers predating it: builds the deterministic sparse-sign
-        operator for ``(n, m_rows, seed)`` and delegates to
-        :meth:`sketch`.  One synchronization on the distributed
-        backend, as before."""
-        op = SparseSignSketch(self.n_rows_global(v), m_rows, seed=seed)
-        return self.sketch(v, op)
-
     # -- accounting hooks ---------------------------------------------------
     def host_flops(self, flops: float) -> None:
         """Charge redundant host-side dense flops (no-op on NumPy)."""
@@ -243,18 +230,14 @@ class NumpyBackend(OrthoBackend):
 class DistBackend(OrthoBackend):
     """Simulated-cluster substrate over :class:`DistMultiVector`.
 
-    ``engine`` selects the kernel-execution engine (``"loop"`` /
-    ``"batched"``) for every costed BLAS call issued through this
-    backend; ``None`` defers to the communicator binding and then the
-    process default (:func:`repro.config.get_engine`).
+    Costed kernels run on the one kernel engine
+    (:data:`repro.distla.engine.ENGINE`, mostly via
+    :mod:`repro.distla.blas`), which picks stacked or per-shard
+    execution from the operands; :meth:`tsqr` makes the same choice.
     """
 
-    def __init__(self, comm: SimComm, engine: str | None = None) -> None:
+    def __init__(self, comm: SimComm) -> None:
         self.comm = comm
-        self.engine = None if engine is None else config.validate_engine(engine)
-
-    def _engine(self) -> dengine.KernelEngine:
-        return dengine.resolve(self.engine, self.comm)
 
     # -- structure ------------------------------------------------------
     def n_cols(self, mv: DistMultiVector) -> int:
@@ -271,13 +254,13 @@ class DistBackend(OrthoBackend):
 
     # -- reductions -------------------------------------------------------
     def dot(self, x, y) -> np.ndarray:
-        return dblas.block_dot(x, y, engine=self.engine)
+        return dblas.block_dot(x, y)
 
     def fused_dots(self, pairs):
-        return dblas.block_dot_multi(pairs, engine=self.engine)
+        return dblas.block_dot_multi(pairs)
 
     def post_fused_dots(self, pairs):
-        return dblas.post_block_dot_multi(pairs, engine=self.engine)
+        return dblas.post_block_dot_multi(pairs)
 
     def wait_fused_dots(self, handle):
         return handle.comm.wait(handle)
@@ -286,17 +269,17 @@ class DistBackend(OrthoBackend):
         return dblas.dot_dd_dist(x, y)
 
     def norms(self, x) -> np.ndarray:
-        return dblas.column_norms(x, engine=self.engine)
+        return dblas.column_norms(x)
 
     # -- local updates ------------------------------------------------------
     def update(self, v, q, r) -> None:
-        dblas.block_update(v, q, r, engine=self.engine)
+        dblas.block_update(v, q, r)
 
     def trsm(self, v, r) -> None:
-        dblas.trsm_inplace(v, r, engine=self.engine)
+        dblas.trsm_inplace(v, r)
 
     def scale_cols(self, v, scales) -> None:
-        dblas.scale_columns(v, scales, engine=self.engine)
+        dblas.scale_columns(v, scales)
 
     # -- helpers over distributed storage -----------------------------------
     @staticmethod
@@ -405,8 +388,7 @@ class DistBackend(OrthoBackend):
         k = v.n_cols
         stack = v.stack
         f64 = np.dtype(np.float64)
-        batched = (isinstance(self._engine(), dengine.BatchedEngine)
-                   and stack is not None and stack.shape[1] >= k)
+        batched = stack is not None and stack.shape[1] >= k
         qstack = None
         if batched:
             work = stack if stack.dtype == f64 else stack.astype(f64)
@@ -490,10 +472,10 @@ class DistBackend(OrthoBackend):
         return rs
 
     def sketch(self, v: DistMultiVector, op) -> np.ndarray:
-        return sketch_multivector(v, op, engine=self.engine)
+        return sketch_multivector(v, op)
 
     def fused_dots_sketch(self, pairs, v: DistMultiVector, op):
-        return self._engine().fused_dot_sketch(pairs, v, op)
+        return ENGINE.fused_dot_sketch(pairs, v, op)
 
     # -- accounting ------------------------------------------------------
     def host_flops(self, flops: float) -> None:

@@ -212,7 +212,7 @@ class SketchedTwoStageScheme(TwoStageScheme):
     collective (the fresh post-whitening sketch is what buys
     :class:`RBCGSScheme` its O(eps) orthogonality).  This is the
     randomized-GMRES (RGS) contract: pair it with
-    ``sstep_gmres(..., solve_mode="sketched")``, which solves the small
+    ``SolverOptions(solve_mode="sketched")``, which solves the small
     least-squares problem in sketch space and never relies on explicit
     orthogonality — the solver then reuses the maintained basis sketch
     (:attr:`basis_sketch`) at zero extra communication.  1

@@ -69,7 +69,6 @@ class Communicator(Protocol):
     size: int
     tracer: Tracer
     cost: CostModel
-    engine: str | None
     #: Which :data:`BACKENDS` entry this communicator implements.
     backend: str
 
@@ -134,8 +133,8 @@ class Communicator(Protocol):
 
 
 def make_comm(backend: str = "sim", machine: MachineSpec | None = None,
-              size: int = 4, *, tracer: Tracer | None = None,
-              engine: str | None = None) -> "Communicator":
+              size: int = 4, *, tracer: Tracer | None = None
+              ) -> "Communicator":
     """Construct a communicator for ``backend`` (``"sim"`` or ``"mp"``).
 
     Parameters mirror :class:`~repro.parallel.communicator.SimComm`:
@@ -151,6 +150,6 @@ def make_comm(backend: str = "sim", machine: MachineSpec | None = None,
     machine = machine if machine is not None else summit()
     if backend == "mp":
         from repro.parallel.mp_backend import MpComm
-        return MpComm(machine, size, tracer, engine=engine)
+        return MpComm(machine, size, tracer)
     from repro.parallel.communicator import SimComm
-    return SimComm(machine, size, tracer, engine=engine)
+    return SimComm(machine, size, tracer)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import config
 from repro.dd.core import dd_add
 from repro.exceptions import CommunicatorError
 from repro.parallel.costmodel import CostModel
@@ -81,6 +80,10 @@ class SimComm:
     :class:`~repro.parallel.api.Communicator` protocol — the *planner*:
     reductions execute driver-side (in MPI-faithful tree order) and every
     charge is **modeled** seconds from the cost model, never wall clock.
+    The kernel engine (:mod:`repro.distla.engine`) hands reductions
+    per-rank contribution lists on its per-shard path and
+    ``(ranks, ...)`` stacks on its stacked path (the ``*_stacked``
+    methods); both fold in the identical tree order.
 
     Parameters
     ----------
@@ -90,25 +93,19 @@ class SimComm:
         Number of ranks.
     tracer:
         Modeled-time accumulator; a fresh one is created when omitted.
-    engine:
-        Optional kernel-execution engine name (``"loop"`` / ``"batched"``)
-        binding every costed BLAS call over this communicator; ``None``
-        defers to :func:`repro.config.get_engine`.
     """
 
     #: Protocol backend name (:data:`repro.parallel.api.BACKENDS`).
     backend = "sim"
 
     def __init__(self, machine: MachineSpec, size: int,
-                 tracer: Tracer | None = None,
-                 engine: str | None = None) -> None:
+                 tracer: Tracer | None = None) -> None:
         if size < 1:
             raise CommunicatorError(f"communicator size must be >= 1, got {size}")
         self.machine = machine
         self.size = int(size)
         self.tracer = tracer if tracer is not None else Tracer()
         self.cost = CostModel(machine)
-        self.engine = None if engine is None else config.validate_engine(engine)
         #: Posted-but-unwaited collectives, oldest first (FIFO drain).
         self._inflight: list[CommRequest] = []
 
@@ -299,7 +296,7 @@ class SimComm:
         Vectorized twin of :meth:`_tree_sum`: each level folds the lower
         half onto the upper half with ONE elementwise add, pairing
         ``i + half`` with ``i`` exactly like the list version — so the
-        floating-point result is bit-identical to the loop engine's.
+        floating-point result is bit-identical to the per-shard path's.
         """
         work = np.asarray(stack, dtype=np.float64)
         if work.shape[0] == 1:
@@ -375,7 +372,7 @@ class SimComm:
                      payload_bytes=payload)
         return results
 
-    # -- stacked variants (batched engine) ------------------------------
+    # -- stacked variants (stacked kernels) ----------------------------
     def _check_stack(self, stack: np.ndarray) -> None:
         if stack.shape[0] != self.size:
             raise CommunicatorError(
@@ -428,7 +425,7 @@ class SimComm:
         The cost model was evaluated for ONE rank's shard; fan the
         queued metrics shapes out by the rank count so flop/byte
         counters stay the aggregate over all shards — identical to a
-        per-rank :meth:`charge_local` evaluation under the loop engine
+        per-rank :meth:`charge_local` evaluation on the per-shard path
         (and a near-exact aggregate for the driver-side TSQR tree,
         whose ``ranks - 1`` node factorizations are charged from one
         per-node shape).

@@ -254,10 +254,9 @@ class MpComm(SimComm):
     backend = "mp"
 
     def __init__(self, machine: MachineSpec, size: int,
-                 tracer: Tracer | None = None,
-                 engine: str | None = None, *,
+                 tracer: Tracer | None = None, *,
                  timeout: float = 60.0) -> None:
-        super().__init__(machine, size, tracer, engine=engine)
+        super().__init__(machine, size, tracer)
         self.tracer.stream = "measured"
         self.modeled = Tracer()
         # one `with tracer.phase(...)` (and one cycle marker) drives

@@ -73,9 +73,9 @@ class Partition:
     def is_uniform(self) -> bool:
         """True when every rank owns the same number of rows.
 
-        Uniform partitions are what the batched execution engine can stack
-        into one contiguous ``(ranks, rows, k)`` array; ragged ones take
-        the per-rank loop fallback.
+        Uniform partitions are what the kernel engine can stack into one
+        contiguous ``(ranks, rows, k)`` array; ragged ones take its
+        per-shard path.
         """
         counts = self.counts
         return bool((counts == counts[0]).all())

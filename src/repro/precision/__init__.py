@@ -18,11 +18,12 @@ policy threaded through the whole stack:
   from the lowest layers).
 
 Downstream: :class:`repro.distla.multivector.DistMultiVector` carries a
-storage spec, both kernel engines accumulate reductions in fp64 over
-low-precision shards (bit-identical loop/batched per dtype) and charge
-bytes at the storage word size, ``sstep_gmres(precision=...)`` runs the
-whole basis at a policy, and :func:`repro.krylov.ir.gmres_ir` wraps a
-low-precision inner solve in an fp64 iterative-refinement loop.
+storage spec, the kernel engine accumulates reductions in fp64 over
+low-precision shards (stacked and per-shard paths bit-identical per
+dtype) and charges bytes at the storage word size,
+``SolverOptions(precision=...)`` runs the whole basis at a policy, and
+:func:`repro.krylov.ir.gmres_ir` wraps a low-precision inner solve in an
+fp64 iterative-refinement loop.
 """
 
 from repro.precision.dtypes import (

@@ -22,7 +22,7 @@ this module extends the same trade to the *inter-block* level:
 
 Selectable through the :mod:`repro.ortho` registry as
 ``get_scheme("mixed-two-stage")`` and through
-``sstep_gmres(precision=...)`` with a ``gram="dd"`` policy.
+``SolverOptions(precision=...)`` with a ``gram="dd"`` policy.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ benchmarks all draw on:
   SRHT subspace embeddings behind one :class:`SketchOperator` ABC, with
   deterministic seeding and embedding-size heuristics;
 * :mod:`repro.sketch.distributed` — shard-local application through the
-  ``loop``/``batched`` kernel engines (one allreduce, engine-identical
-  results and charged costs);
+  distla kernel engine (one allreduce; stacked and per-shard paths give
+  identical results and charged costs);
 * :mod:`repro.sketch.precondition` — sketch-QR whitening factors, the
   building block of randomized CholQR and the sketched inter-block
   schemes in :mod:`repro.ortho.randomized`.

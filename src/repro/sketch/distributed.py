@@ -8,44 +8,40 @@ allreduce — the same single-synchronization pattern as a block dot
 product, and the reason randomized orthogonalization fits the paper's
 communication-avoiding setting.
 
-Execution goes through the :mod:`repro.distla.engine` kernel engines:
-the ``loop`` path applies the operator shard by shard, the ``batched``
-path hands the contiguous ``(ranks, rows, k)`` stack of a uniform
-partition to the operator's batched kernel and reduces with the stacked
-(vectorized, bit-identical) tree.  Both paths charge identical modeled
-costs, so artifacts never depend on the engine.
+Execution goes through the kernel engine
+(:data:`repro.distla.engine.ENGINE`): operands with a contiguous
+``(ranks, rows, k)`` stack (uniform partitions) go to the operator's
+batched kernel and reduce with the stacked (vectorized, bit-identical)
+tree; anything else is sketched shard by shard.  Both paths charge
+identical modeled costs, so artifacts never depend on the path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.distla import engine as dengine
+from repro.distla.engine import ENGINE
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
 from repro.sketch.operators import SketchOperator
 
 
-def sketch_multivector(v: DistMultiVector, op: SketchOperator,
-                       engine: "dengine.KernelEngine | str | None" = None
+def sketch_multivector(v: DistMultiVector, op: SketchOperator
                        ) -> np.ndarray:
     """Global sketch ``S @ V`` — shard-local partials + one allreduce.
 
     Returns the ``(m_rows, k)`` sketch, replicated on every rank like
-    any other reduction result.  ``engine`` resolves exactly like the
-    costed BLAS layer: explicit argument, then the communicator binding,
-    then the process default.
+    any other reduction result.
     """
     if op.n_rows != v.n_global:
         raise ShapeError(
             f"operator sketches {op.n_rows} rows but multivector has "
             f"{v.n_global}")
-    return dengine.resolve(engine, v.comm).sketch_apply(v, op)
+    return ENGINE.sketch_apply(v, op)
 
 
-def sketch_multivector_batched(vs: list[DistMultiVector], op: SketchOperator,
-                               engine: "dengine.KernelEngine | str | None"
-                               = None) -> list[np.ndarray]:
+def sketch_multivector_batched(vs: list[DistMultiVector], op: SketchOperator
+                               ) -> list[np.ndarray]:
     """:func:`sketch_multivector` over several multivectors as ONE
     charged pass.
 
@@ -66,5 +62,5 @@ def sketch_multivector_batched(vs: list[DistMultiVector], op: SketchOperator,
         with batch.group():
             for v in vs:
                 with batch.member():
-                    out.append(sketch_multivector(v, op, engine=engine))
+                    out.append(sketch_multivector(v, op))
     return out

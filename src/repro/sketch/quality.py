@@ -22,7 +22,7 @@ a bit too eagerly, never too late.
 Everything here is host-side math over the already-reduced ``(m, k)``
 sketched basis — no extra collectives, which is what makes it cheap
 enough to run at every solver checkpoint
-(``sstep_gmres(solve_mode="sketched")`` surfaces the running maximum as
+(``SolverOptions(solve_mode="sketched")`` surfaces the running maximum as
 ``SolveResult.diagnostics["embedding_distortion_max"]``).
 """
 

@@ -27,14 +27,14 @@ def artifact(records):
 
 class TestRoundTrip:
     def test_write_load(self, tmp_path):
-        art = artifact([rec("test_a[loop]", 2e-4, {"engine": "loop"}),
-                        rec("test_a[batched]", 1e-4, {"engine": "batched"})])
+        art = artifact([rec("test_a[shards]", 2e-4, {"layout": "shards"}),
+                        rec("test_a[stacked]", 1e-4, {"layout": "stacked"})])
         path = art.write(tmp_path / "BENCH_kernels.json")
         loaded = load_artifact(path)
         assert loaded.schema == SCHEMA
         assert loaded.names() == art.names()
-        assert loaded.record("test_a[loop]").extra == {"engine": "loop"}
-        assert loaded.record("test_a[batched]").min == pytest.approx(1e-4)
+        assert loaded.record("test_a[shards]").extra == {"layout": "shards"}
+        assert loaded.record("test_a[stacked]").min == pytest.approx(1e-4)
 
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "BENCH_bad.json"
@@ -51,8 +51,10 @@ class TestRoundTrip:
 
 class TestComparison:
     def test_speedup(self):
-        art = artifact([rec("test_a[loop]", 3e-4), rec("test_a[batched]", 1e-4)])
-        assert art.speedup("test_a[loop]", "test_a[batched]") == pytest.approx(3.0)
+        art = artifact([rec("test_a[shards]", 3e-4),
+                        rec("test_a[stacked]", 1e-4)])
+        assert (art.speedup("test_a[shards]", "test_a[stacked]")
+                == pytest.approx(3.0))
 
     def test_no_regression_within_threshold(self):
         base = artifact([rec("test_a", 1e-4)])
@@ -75,7 +77,7 @@ class TestComparison:
 class TestEnvironment:
     def test_collect_environment_keys(self):
         env = collect_environment()
-        for key in ("repro", "python", "numpy", "scipy", "default_engine"):
+        for key in ("repro", "python", "numpy", "scipy"):
             assert key in env
 
 
@@ -129,8 +131,8 @@ class TestCompareBenchCli:
         assert cli.main([b, c2]) == 1
 
     def test_speedup_gate(self, cli, tmp_path):
-        art = artifact([rec("test_a[loop]", 3e-4),
-                        rec("test_a[batched]", 1e-4)])
+        art = artifact([rec("test_a[shards]", 3e-4),
+                        rec("test_a[stacked]", 1e-4)])
         p = str(art.write(tmp_path / "a.json"))
         assert cli.main([p, "--check-speedup", "test_a"]) == 0
         assert cli.main([p, "--check-speedup", "test_a",
@@ -141,20 +143,20 @@ class TestCompareBenchCli:
         """A candidate missing entries referenced by --check-speedup is a
         configuration error (exit 2, every missing entry named), never a
         silent pass."""
-        art = artifact([rec("test_a[loop]", 3e-4),
-                        rec("test_a[batched]", 1e-4)])
+        art = artifact([rec("test_a[shards]", 3e-4),
+                        rec("test_a[stacked]", 1e-4)])
         p = str(art.write(tmp_path / "a.json"))
         assert cli.main([p, "--check-speedup", "test_missing"]) == 2
         out = capsys.readouterr().out
         assert "ERROR" in out and p in out
-        assert "test_missing[loop]" in out
-        assert "test_missing[batched]" in out
-        # one present engine leg is not enough — both are required
-        half = artifact([rec("test_a[loop]", 3e-4)])
+        assert "test_missing[shards]" in out
+        assert "test_missing[stacked]" in out
+        # one present layout leg is not enough — both are required
+        half = artifact([rec("test_a[shards]", 3e-4)])
         ph = str(half.write(tmp_path / "half.json"))
         assert cli.main([ph, "--check-speedup", "test_a"]) == 2
         out = capsys.readouterr().out
-        assert "test_a[batched]" in out and "test_a[loop]" not in \
+        assert "test_a[stacked]" in out and "test_a[shards]" not in \
             out.split("required by --check-speedup:")[1]
         # the two-artifact form blames the *candidate* file
         assert cli.main([p, ph, "--check-speedup", "test_a",

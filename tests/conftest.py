@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.distla.multivector import DistMultiVector
 from repro.krylov.simulation import Simulation
 from repro.matrices.stencil import laplace2d
 from repro.parallel.machine import generic_cpu, summit
@@ -15,6 +18,34 @@ from repro.parallel.tracing import Tracer
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def per_shard(monkeypatch):
+    """Context-manager factory that hides every multivector's
+    ``(ranks, rows, k)`` stack, so the kernel engine (and TSQR) take
+    their per-shard path, as they do on a ragged partition.  Lets a test
+    run the same uniform problem stacked and per shard and compare."""
+    @contextmanager
+    def scope():
+        with monkeypatch.context() as m:
+            m.setattr(DistMultiVector, "stack", property(lambda self: None))
+            yield
+    return scope
+
+
+@pytest.fixture
+def kernel_path(request, per_shard):
+    """The kernel execution path a test runs on, set by indirect
+    parametrization over ``["loop", "batched"]``: ``"batched"`` keeps
+    the stacks (stacked kernels), ``"loop"`` hides them for the whole
+    test, so every kernel runs per shard through ``LoopEngine`` on the
+    same partition."""
+    if request.param == "batched":
+        yield request.param
+        return
+    with per_shard():
+        yield request.param
 
 
 @pytest.fixture

@@ -1,29 +1,37 @@
-"""Loop-vs-batched engine equivalence: results, costs, fallbacks.
+"""The kernel engine: stacked vs per-shard equivalence, costs, fallbacks.
 
-The batched engine must be a pure execution-strategy change: on every
-partition shape (uniform and ragged) it has to produce results matching
-the loop engine at FP64 tolerance — bitwise for elementwise kernels and
-the reduction tree — and charge *identical* modeled costs, so that paper
-artifacts regenerated under either engine are the same numbers.
+:class:`BatchedEngine` runs a kernel stacked when its operands carry a
+``(ranks, rows, k)`` stack and per shard (the inherited
+:class:`LoopEngine` bodies) otherwise.  Choosing between the two must be
+a pure execution-strategy change: on every partition shape (uniform and
+ragged) the stacked path has to match the per-shard reference at FP64
+tolerance — bitwise for elementwise kernels and the reduction tree — and
+charge *identical* modeled costs, so paper artifacts never depend on
+which path ran.  The tests call both engine classes directly.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
-from repro import config
+import repro
 from repro.distla import blas
-from repro.distla.engine import BatchedEngine, LoopEngine, get_engine, resolve
+from repro.distla import engine as dengine
+from repro.distla.engine import BatchedEngine, LoopEngine
 from repro.distla.multivector import DistMultiVector
-from repro.ortho.backend import DistBackend
 from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
+from repro.sketch.operators import SparseSignSketch
 
 N_UNIFORM = 96   # divisible by 8 -> uniform partition, stacked storage
-N_RAGGED = 101   # prime-ish -> ragged partition, loop fallback
+N_RAGGED = 101   # prime-ish -> ragged partition, per-shard path
 RANKS = 8
 KQ, KV = 6, 3
 
@@ -32,8 +40,9 @@ def make_comm():
     return SimComm(generic_cpu(), RANKS, Tracer())
 
 
-def apply_ops(engine: str, n: int):
-    """Run one of every costed BLAS op; return (results, tracer)."""
+def apply_ops(engine: LoopEngine, n: int):
+    """Run one of every costed kernel on ``engine``; return
+    (results, tracer)."""
     part = Partition(n, RANKS)
     comm = make_comm()
     rng = np.random.default_rng(7)
@@ -44,19 +53,18 @@ def apply_ops(engine: str, n: int):
     r_proj = rng.standard_normal((KQ, KV))
     r_tri = np.triu(rng.standard_normal((KV, KV))) + 3.0 * np.eye(KV)
     coeffs = rng.standard_normal((KV, 1))
-    with config.engine_scope(engine):
-        results = [
-            blas.block_dot(q, v),
-            *blas.block_dot_multi([(q, v), (v, v)]),
-            blas.column_norms(q),
-        ]
-        blas.block_update(v, q, r_proj)
-        blas.trsm_inplace(v, r_tri)
-        blas.scale_columns(v, np.array([2.0, -1.0, 0.5]))
-        blas.lincomb(out, [(2.0, v), (-1.0, v)])
-        blas.copy_into(out, v)
-        blas.matvec_small(v, coeffs, small)
-        results += [v.to_global(), out.to_global(), small.to_global()]
+    results = [
+        engine.block_dot(q, v),
+        *engine.block_dot_multi([(q, v), (v, v)]),
+        engine.column_norms(q),
+    ]
+    engine.block_update(v, q, r_proj)
+    engine.trsm_inplace(v, r_tri)
+    engine.scale_columns(v, np.array([2.0, -1.0, 0.5]))
+    engine.lincomb(out, [(2.0, v), (-1.0, v)])
+    engine.copy_into(out, v)
+    engine.matvec_small(v, coeffs, small)
+    results += [v.to_global(), out.to_global(), small.to_global()]
     return results, comm.tracer
 
 
@@ -64,14 +72,14 @@ def apply_ops(engine: str, n: int):
                          ids=["uniform", "ragged"])
 class TestEngineEquivalence:
     def test_results_match(self, n):
-        loop, _ = apply_ops("loop", n)
-        batched, _ = apply_ops("batched", n)
+        loop, _ = apply_ops(LoopEngine(), n)
+        batched, _ = apply_ops(BatchedEngine(), n)
         for got, want in zip(batched, loop):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
     def test_charged_costs_identical(self, n):
-        _, t_loop = apply_ops("loop", n)
-        _, t_batched = apply_ops("batched", n)
+        _, t_loop = apply_ops(LoopEngine(), n)
+        _, t_batched = apply_ops(BatchedEngine(), n)
         assert t_batched.clock == t_loop.clock
         assert dict(t_batched.by_kernel) == dict(t_loop.by_kernel)
         assert dict(t_batched.counts) == dict(t_loop.counts)
@@ -83,10 +91,8 @@ class TestEngineEquivalence:
         rng = np.random.default_rng(11)
         x = DistMultiVector.from_global(rng.standard_normal((n, KQ)),
                                         part, comm)
-        with config.engine_scope("loop"):
-            ref = blas.block_dot(x, x)
-        with config.engine_scope("batched"):
-            got = blas.block_dot(x, x)
+        ref = LoopEngine().block_dot(x, x)
+        got = BatchedEngine().block_dot(x, x)
         np.testing.assert_array_equal(got, ref)
 
 
@@ -128,9 +134,8 @@ class TestStackedStorage:
         shards = [np.zeros((part.local_count(r), KV)) for r in range(RANKS)]
         mv = DistMultiVector(part, comm, shards)
         assert mv.stack is None
-        # batched engine must still work (loop fallback), with equal costs
-        with config.engine_scope("batched"):
-            blas.scale_columns(mv, np.ones(KV))
+        # the engine must still work (per-shard path), with equal costs
+        blas.scale_columns(mv, np.ones(KV))
         assert comm.tracer.clock > 0
 
     def test_mixed_stacked_unstacked_operands(self):
@@ -142,8 +147,7 @@ class TestStackedStorage:
         unstacked = DistMultiVector(
             part, comm, [np.array(arr[part.local_slice(r)], copy=True)
                          for r in range(RANKS)])
-        with config.engine_scope("batched"):
-            got = blas.block_dot(stacked, unstacked)
+        got = blas.block_dot(stacked, unstacked)
         np.testing.assert_allclose(got, arr.T @ arr, rtol=1e-13)
 
 
@@ -151,9 +155,10 @@ class TestStackedStorage:
 @pytest.mark.parametrize("n", [N_UNIFORM, N_RAGGED],
                          ids=["uniform", "ragged"])
 class TestSketchDotEngineEquivalence:
-    """DistBackend.sketch_dot is an execution-strategy-free operation:
-    loop and batched engines must produce bit-identical sketches and
-    charge identical modeled costs on every partition shape."""
+    """The sparse-sign sketch product ``S @ V`` is an
+    execution-strategy-free operation: stacked and per-shard paths must
+    produce bit-identical sketches and charge identical modeled costs on
+    every partition shape."""
 
     M_ROWS = 24
 
@@ -163,94 +168,62 @@ class TestSketchDotEngineEquivalence:
         rng = np.random.default_rng(23)
         v = DistMultiVector.from_global(rng.standard_normal((n, KV)),
                                         part, comm)
-        out = DistBackend(comm, engine=engine).sketch_dot(
-            v, self.M_ROWS, seed=42)
+        out = engine.sketch_apply(v, SparseSignSketch(n, self.M_ROWS,
+                                                      seed=42))
         return out, comm.tracer
 
     def test_bit_identical(self, n, ranks):
-        loop, _ = self.run_sketch("loop", n, ranks)
-        batched, _ = self.run_sketch("batched", n, ranks)
+        loop, _ = self.run_sketch(LoopEngine(), n, ranks)
+        batched, _ = self.run_sketch(BatchedEngine(), n, ranks)
         np.testing.assert_array_equal(batched, loop)
 
     def test_charged_costs_identical(self, n, ranks):
-        _, t_loop = self.run_sketch("loop", n, ranks)
-        _, t_batched = self.run_sketch("batched", n, ranks)
+        _, t_loop = self.run_sketch(LoopEngine(), n, ranks)
+        _, t_batched = self.run_sketch(BatchedEngine(), n, ranks)
         assert t_batched.clock == t_loop.clock
         assert dict(t_batched.by_kernel) == dict(t_loop.by_kernel)
         assert dict(t_batched.counts) == dict(t_loop.counts)
 
     def test_one_synchronization(self, n, ranks):
-        _, tracer = self.run_sketch("batched", n, ranks)
+        _, tracer = self.run_sketch(BatchedEngine(), n, ranks)
         assert tracer.sync_count() == 1
 
 
+def _public_callables():
+    """``(qualified name, callable)`` for every public function and
+    class defined under :mod:`repro`."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
 class TestEngineSelection:
-    def test_config_roundtrip(self):
-        prev = config.set_engine("loop")
-        try:
-            assert config.get_engine() == "loop"
-            assert isinstance(resolve(None, None), LoopEngine)
-        finally:
-            config.set_engine(prev)
+    """The one engine picks stacked or per-shard execution per call,
+    from its operands; nothing else selects it."""
 
-    def test_set_engine_returns_raw_pin(self, monkeypatch):
-        """set_engine round-trips the *pin*, not the resolved default, so
-        restore does not freeze the process against REPRO_ENGINE."""
-        monkeypatch.setattr(config, "_active_engine", None)
-        prev = config.set_engine("loop")
-        assert prev is None
-        config.set_engine(prev)  # restore -> unpinned again
-        monkeypatch.setenv("REPRO_ENGINE", "loop")
-        assert config.get_engine() == "loop"
+    def test_costed_calls_share_one_batched_engine(self):
+        assert type(dengine.ENGINE) is BatchedEngine
+        assert blas.ENGINE is dengine.ENGINE
 
-    def test_engine_scope_restores(self):
-        before = config.get_engine()
-        with config.engine_scope("loop"):
-            assert config.get_engine() == "loop"
-        assert config.get_engine() == before
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            config.set_engine("warp-drive")
-        with pytest.raises(ValueError):
-            get_engine("warp-drive")
-
-    def test_binding_typo_fails_at_construction(self):
-        with pytest.raises(ValueError, match="bacthed"):
-            SimComm(generic_cpu(), RANKS, Tracer(), engine="bacthed")
-        with pytest.raises(ValueError, match="bacthed"):
-            DistBackend(make_comm(), engine="bacthed")
-
-    def test_env_var_reread_when_unpinned(self, monkeypatch):
-        monkeypatch.setattr(config, "_active_engine", None)
-        monkeypatch.setenv("REPRO_ENGINE", "loop")
-        assert config.get_engine() == "loop"
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        assert config.get_engine() == "batched"
-
-    def test_comm_binding_wins_over_config(self):
-        comm = SimComm(generic_cpu(), RANKS, Tracer(), engine="loop")
-        with config.engine_scope("batched"):
-            assert isinstance(resolve(None, comm), LoopEngine)
-
-    def test_explicit_argument_wins_over_comm(self):
-        comm = SimComm(generic_cpu(), RANKS, Tracer(), engine="loop")
-        assert isinstance(resolve("batched", comm), BatchedEngine)
-
-    def test_dist_backend_threads_engine(self):
-        part = Partition(N_UNIFORM, RANKS)
-        comm = make_comm()
-        rng = np.random.default_rng(5)
-        x = DistMultiVector.from_global(
-            rng.standard_normal((N_UNIFORM, KQ)), part, comm)
-        ref = x.to_global().T @ x.to_global()
-        for engine in ("loop", "batched"):
-            backend = DistBackend(comm, engine=engine)
-            np.testing.assert_allclose(backend.dot(x, x), ref, rtol=1e-13)
+    def test_no_public_callable_accepts_engine(self):
+        offenders = []
+        for qualname, obj in _public_callables():
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            if "engine" in params:
+                offenders.append(qualname)
+        assert offenders == []
 
     def test_stream_cutoff_preserves_results(self):
-        """Above the cache cutoff the batched engine falls back per-rank;
-        results must not depend on where the cutoff sits."""
+        """Above the cache cutoff the engine runs per shard; results must
+        not depend on where the cutoff sits."""
         part = Partition(N_UNIFORM, RANKS)
         comm = make_comm()
         rng = np.random.default_rng(9)
@@ -259,8 +232,8 @@ class TestEngineSelection:
         out = DistMultiVector.zeros(part, comm, KV)
         eng = BatchedEngine()
         tiny = BatchedEngine()
-        tiny.stream_elems_max = 0  # force the loop fallback
-        blas.lincomb(out, [(1.0, v), (0.5, v)], engine=eng)
+        tiny.stream_elems_max = 0  # force the per-shard path
+        eng.lincomb(out, [(1.0, v), (0.5, v)])
         ref = out.to_global().copy()
-        blas.lincomb(out, [(1.0, v), (0.5, v)], engine=tiny)
+        tiny.lincomb(out, [(1.0, v), (0.5, v)])
         np.testing.assert_array_equal(out.to_global(), ref)

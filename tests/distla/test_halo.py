@@ -122,13 +122,13 @@ class TestGhostPlanPayloads:
             for peer in d1:
                 assert d2[peer] == pytest.approx(2.0 * d1[peer])
 
-    def test_halo_plan_legacy_accessor_is_fp64(self):
+    def test_halo_plan_default_recv_bytes_is_fp64(self):
         a = laplace2d(8)
         part = Partition(64, 4)
         blocks = [a[part.local_slice(r), :].tocsr() for r in range(4)]
         halo = HaloPlan.analyze(blocks, part)
-        legacy = halo.recv_bytes_by_peer
-        for by_peer, counts in zip(legacy, halo.recv_counts_by_peer):
+        default = halo.recv_bytes()
+        for by_peer, counts in zip(default, halo.recv_counts_by_peer):
             for peer, nbytes in by_peer.items():
                 assert nbytes == counts[peer] * 8.0
 

@@ -1,8 +1,9 @@
 """Low-precision storage through the costed BLAS layer.
 
 The precision contract of :mod:`repro.distla.engine`: per storage dtype
-the loop and batched engines are bit-identical and charge identical
-modeled costs; reductions accumulate in fp64 over low-precision shards;
+the stacked (:class:`BatchedEngine`) and per-shard (:class:`LoopEngine`)
+kernels are bit-identical and charge identical modeled costs;
+reductions accumulate in fp64 over low-precision shards;
 writes land on the storage grid; and charged bytes scale with the
 storage word size.
 """
@@ -12,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.distla import blas
+from repro.distla.engine import BatchedEngine, LoopEngine
 from repro.distla.multivector import DistMultiVector
 from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
@@ -32,8 +33,10 @@ def make_comm():
     return SimComm(generic_cpu(), RANKS, Tracer())
 
 
-def apply_ops(engine: str, n: int, storage: str, accumulate: str = "fp64"):
-    """One of every costed BLAS op over ``storage`` operands."""
+def apply_ops(engine: LoopEngine, n: int, storage: str,
+              accumulate: str = "fp64"):
+    """One of every costed kernel on ``engine`` over ``storage``
+    operands."""
     part = Partition(n, RANKS)
     comm = make_comm()
     rng = np.random.default_rng(7)
@@ -45,19 +48,18 @@ def apply_ops(engine: str, n: int, storage: str, accumulate: str = "fp64"):
     small = DistMultiVector.zeros(part, comm, 1)
     r_proj = rng.standard_normal((KQ, KV))
     r_tri = np.triu(rng.standard_normal((KV, KV))) + 3.0 * np.eye(KV)
-    with config.engine_scope(engine):
-        results = [
-            blas.block_dot(q, v),
-            *blas.block_dot_multi([(q, v), (v, v)]),
-            blas.column_norms(q),
-        ]
-        blas.block_update(v, q, r_proj)
-        blas.trsm_inplace(v, r_tri)
-        blas.scale_columns(v, np.array([2.0, -1.0, 0.5]))
-        blas.lincomb(out, [(2.0, v), (-1.0, v)])
-        blas.copy_into(out, v)
-        blas.matvec_small(v, rng.standard_normal((KV, 1)), small)
-        results += [v.to_global(), out.to_global(), small.to_global()]
+    results = [
+        engine.block_dot(q, v),
+        *engine.block_dot_multi([(q, v), (v, v)]),
+        engine.column_norms(q),
+    ]
+    engine.block_update(v, q, r_proj)
+    engine.trsm_inplace(v, r_tri)
+    engine.scale_columns(v, np.array([2.0, -1.0, 0.5]))
+    engine.lincomb(out, [(2.0, v), (-1.0, v)])
+    engine.copy_into(out, v)
+    engine.matvec_small(v, rng.standard_normal((KV, 1)), small)
+    results += [v.to_global(), out.to_global(), small.to_global()]
     return results, comm.tracer
 
 
@@ -66,20 +68,21 @@ def apply_ops(engine: str, n: int, storage: str, accumulate: str = "fp64"):
 @pytest.mark.parametrize("storage", STORAGES)
 class TestEngineEquivalencePerStorage:
     def test_results_bit_identical(self, n, storage):
-        loop, _ = apply_ops("loop", n, storage)
-        batched, _ = apply_ops("batched", n, storage)
+        loop, _ = apply_ops(LoopEngine(), n, storage)
+        batched, _ = apply_ops(BatchedEngine(), n, storage)
         for got, want in zip(batched, loop):
             np.testing.assert_array_equal(got, want)
 
     def test_charged_costs_identical(self, n, storage):
-        _, t_loop = apply_ops("loop", n, storage)
-        _, t_batched = apply_ops("batched", n, storage)
+        _, t_loop = apply_ops(LoopEngine(), n, storage)
+        _, t_batched = apply_ops(BatchedEngine(), n, storage)
         assert t_batched.clock == t_loop.clock
         assert dict(t_batched.by_kernel) == dict(t_loop.by_kernel)
         assert dict(t_batched.counts) == dict(t_loop.counts)
 
 
-@pytest.mark.parametrize("engine", ["loop", "batched"])
+@pytest.mark.parametrize("engine", [LoopEngine(), BatchedEngine()],
+                         ids=["loop", "batched"])
 class TestPrecisionSemantics:
     def test_reductions_are_fp64(self, engine):
         """Partial Gram results come back float64 whatever the storage."""
@@ -101,17 +104,16 @@ class TestPrecisionSemantics:
             a.astype(np.float32).astype(np.float64), part, comm)
         v_ref = DistMultiVector.from_global(
             b.astype(np.float32).astype(np.float64), part, comm)
-        with config.engine_scope(engine):
-            got = blas.block_dot(q32, v32)
-            want = blas.block_dot(q_ref, v_ref)
+        got = engine.block_dot(q32, v32)
+        want = engine.block_dot(q_ref, v_ref)
         np.testing.assert_array_equal(got, want)
 
     def test_native_fp32_accumulation_opt_in(self, engine):
         """accumulate="fp32" skips the upcast: partials differ from the
-        fp64-accumulated result (and stay deterministic per engine)."""
-        loop_native, _ = apply_ops("loop", N_UNIFORM, "fp32",
+        fp64-accumulated result (and stay deterministic per path)."""
+        loop_native, _ = apply_ops(LoopEngine(), N_UNIFORM, "fp32",
                                    accumulate="fp32")
-        batched_native, _ = apply_ops("batched", N_UNIFORM, "fp32",
+        batched_native, _ = apply_ops(BatchedEngine(), N_UNIFORM, "fp32",
                                       accumulate="fp32")
         np.testing.assert_array_equal(loop_native[0], batched_native[0])
         fp64_acc, _ = apply_ops(engine, N_UNIFORM, "fp32")
@@ -130,8 +132,7 @@ class TestPrecisionSemantics:
         src = DistMultiVector.from_global(
             np.full((N_UNIFORM, 2), 1.0 + 2.0 ** -20), part, comm)
         dst = DistMultiVector.zeros(part, comm, 2, storage="fp32")
-        with config.engine_scope(engine):
-            blas.copy_into(dst, src)
+        engine.copy_into(dst, src)
         np.testing.assert_array_equal(dst.to_global(),
                                       np.float32(1.0 + 2.0 ** -20))
 

@@ -60,7 +60,7 @@ class TestHaloPlan:
         a = sp.block_diag(blocks).tocsr()
         part = Partition(40, 4)
         da = DistSparseMatrix(a, part, comm4)
-        assert all(not peers for peers in da.halo.recv_bytes_by_peer)
+        assert all(not peers for peers in da.halo.recv_bytes())
         assert np.all(da.halo.halo_counts == 0)
 
     def test_tridiagonal_touches_neighbours_only(self, comm4):
@@ -69,7 +69,7 @@ class TestHaloPlan:
                      [-1, 0, 1]).tocsr()
         part = Partition(n, 4)
         da = DistSparseMatrix(a, part, comm4)
-        for rank, peers in enumerate(da.halo.recv_bytes_by_peer):
+        for rank, peers in enumerate(da.halo.recv_bytes()):
             for peer in peers:
                 assert abs(peer - rank) == 1
         # interior ranks see exactly two external entries (one per side)

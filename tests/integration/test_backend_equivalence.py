@@ -1,6 +1,6 @@
 """Cross-backend equivalence: backend="mp" must reproduce backend="sim"
 bit-for-bit — solutions, histories, and the modeled twin's accounting —
-across engines, precisions, MPK modes and degenerate solves."""
+across precisions, MPK modes and degenerate solves."""
 
 from __future__ import annotations
 
@@ -15,10 +15,12 @@ from repro.matrices.stencil import laplace2d
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.machine import generic_cpu
 
-ENGINES = ("loop", "batched")
+#: Each test so marked runs stacked ("batched") and per shard ("loop").
+KERNEL_PATHS = pytest.mark.parametrize("kernel_path", ["loop", "batched"],
+                                       indirect=True)
 
 
-def _solve_both(a, b, *, engine="batched", ranks=4, scheme_factory=None,
+def _solve_both(a, b, *, ranks=4, scheme_factory=None,
                 **solver_kwargs):
     """Run the identical solve on both backends; return (sim, mp) info."""
     out = {}
@@ -26,7 +28,7 @@ def _solve_both(a, b, *, engine="batched", ranks=4, scheme_factory=None,
         scheme = (scheme_factory() if scheme_factory is not None
                   else TwoStageScheme(solver_kwargs.get("restart", 12)))
         with Simulation(a, ranks=ranks, machine=generic_cpu(),
-                        engine=engine, backend=backend) as sim:
+                        backend=backend) as sim:
             res = sstep_gmres(sim, b, scheme=scheme, **solver_kwargs)
             modeled = (sim.comm.modeled if backend == "mp"
                        else sim.tracer)
@@ -55,22 +57,22 @@ def _assert_equivalent(sim_out, mp_out):
 
 
 class TestSolveEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_two_stage_fp64(self, engine):
+    @KERNEL_PATHS
+    def test_two_stage_fp64(self, kernel_path):
         a = laplace2d(16)
         sim_out, mp_out = _solve_both(
-            a, np.ones(a.shape[0]), engine=engine,
+            a, np.ones(a.shape[0]),
             s=3, restart=12, tol=1e-8, options=SolverOptions())
         assert sim_out["res"].converged
         _assert_equivalent(sim_out, mp_out)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_fp32_storage(self, engine):
+    @KERNEL_PATHS
+    def test_fp32_storage(self, kernel_path):
         """Quantized shards follow the same container-dtype compute path
         on the workers as in the simulator."""
         a = laplace2d(16)
         sim_out, mp_out = _solve_both(
-            a, np.ones(a.shape[0]), engine=engine,
+            a, np.ones(a.shape[0]),
             s=3, restart=12, tol=1e-5, maxiter=2000,
             options=SolverOptions(precision="fp32"))
         _assert_equivalent(sim_out, mp_out)

@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
-from repro.krylov.options import SolverOptions
+from repro.krylov.options import SOLVE_MODES, SolverOptions
 from repro.krylov.simulation import Simulation
-from repro.krylov.sstep_gmres import SOLVE_MODES, sstep_gmres
+from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.machine import generic_cpu

@@ -22,21 +22,23 @@ from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
 from repro.parallel.machine import generic_cpu, summit
 
-ENGINES = ["loop", "batched"]
+#: Each test so marked runs stacked ("batched") and per shard ("loop").
+KERNEL_PATHS = pytest.mark.parametrize("kernel_path", ["loop", "batched"],
+                                       indirect=True)
 
 S, RESTART, TOL = 4, 12, 1e-8
 
 
-def fresh_sim(engine=None, machine=None, nx=12, ranks=4):
+def fresh_sim(machine=None, nx=12, ranks=4):
     return Simulation(laplace2d(nx), ranks=ranks,
-                      machine=machine or generic_cpu(), engine=engine)
+                      machine=machine or generic_cpu())
 
 
-def scalar_solve(b, engine=None, machine=None, nx=12, **kw):
+def scalar_solve(b, machine=None, nx=12, **kw):
     kw.setdefault("s", S)
     kw.setdefault("restart", RESTART)
     kw.setdefault("tol", TOL)
-    return sstep_gmres(fresh_sim(engine, machine, nx), b, **kw)
+    return sstep_gmres(fresh_sim(machine, nx), b, **kw)
 
 
 def rhs_columns(n, width, seed=0):
@@ -57,14 +59,14 @@ def assert_member_matches(res, ref):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_width1_matches_scalar_exactly(self, engine):
+    @KERNEL_PATHS
+    def test_width1_matches_scalar_exactly(self, kernel_path):
         """Width 1 is the degenerate case: identical values AND
         identical modeled charges (times, sync counts)."""
-        sim = fresh_sim(engine)
+        sim = fresh_sim()
         b = rhs_columns(sim.n, 1)[:, 0]
         res = block_sstep_gmres(sim, b, s=S, restart=RESTART, tol=TOL)[0]
-        ref = scalar_solve(b, engine)
+        ref = scalar_solve(b)
         assert res.converged
         assert_member_matches(res, ref)
         assert res.sync_count == ref.sync_count
@@ -72,26 +74,26 @@ class TestBitIdentity:
         assert res.solver == "block_sstep_gmres"
         assert res.diagnostics["batch_width"] == 1
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_s1_width1_degenerate(self, engine):
+    @KERNEL_PATHS
+    def test_s1_width1_degenerate(self, kernel_path):
         """The ``s=1, block=1`` case the issue names explicitly."""
-        sim = fresh_sim(engine)
+        sim = fresh_sim()
         b = rhs_columns(sim.n, 1)[:, 0]
         res = block_sstep_gmres(sim, b, s=1, restart=8, tol=TOL)[0]
-        ref = scalar_solve(b, engine, s=1, restart=8)
+        ref = scalar_solve(b, s=1, restart=8)
         assert_member_matches(res, ref)
         assert res.times["total"] == ref.times["total"]
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_multiwidth_matches_independent_solves(self, engine):
+    @KERNEL_PATHS
+    def test_multiwidth_matches_independent_solves(self, kernel_path):
         width = 4
-        sim = fresh_sim(engine)
+        sim = fresh_sim()
         cols = rhs_columns(sim.n, width)
         results = block_sstep_gmres(sim, cols, s=S, restart=RESTART,
                                     tol=TOL)
         assert len(results) == width
         for j, res in enumerate(results):
-            assert_member_matches(res, scalar_solve(cols[:, j], engine))
+            assert_member_matches(res, scalar_solve(cols[:, j]))
             assert res.diagnostics["batch_index"] == j
             assert res.diagnostics["batch_width"] == width
             assert res.diagnostics["exit_cycle"] == res.restarts

@@ -18,7 +18,7 @@ are structural, not tuned:
 
 The byte budgets are exact for the fixed problem below (laplace2d(16)
 on 4 ranks): payloads come from the charge sites' message descriptors,
-so they are deterministic and engine-independent.  If an intentional
+so they are deterministic and independent of the kernel path.  If an intentional
 algorithm change shifts a budget, update the number here *in the same
 commit* and say why in its message.
 """
@@ -39,7 +39,9 @@ from repro.parallel.machine import generic_cpu
 S = 5
 RESTART = 30
 PANELS = len(_panel_bounds(S, RESTART + 1))  # 6 panels per cycle
-ENGINES = ["loop", "batched"]
+#: Each test so marked runs stacked ("batched") and per shard ("loop").
+KERNEL_PATHS = pytest.mark.parametrize("kernel_path", ["loop", "batched"],
+                                       indirect=True)
 
 # Frozen payload budgets (bytes) for laplace2d(16) on 4 ranks.  The
 # depth-1 halo moves two 16-wide ghost rows of float64 per exchange;
@@ -54,14 +56,13 @@ FUSED_SKETCHED_ORTHO_BYTES = 80_576
 RBCGS_ORTHO_BYTES = 86_352
 
 
-def run_one_cycle(scheme_factory, engine, **option_kw):
+def run_one_cycle(scheme_factory, **option_kw):
     """Exactly one restart cycle: tol unreachable, maxiter = restart.
 
     Returns (total, ortho-phase) ``collective_counts`` docs, each
     ``{kind: {"count": n, "bytes": b}}``.
     """
-    sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu(),
-                     engine=engine)
+    sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu())
     res = sstep_gmres(sim, sim.ones_solution_rhs(), s=S, restart=RESTART,
                       tol=1e-30, maxiter=RESTART, scheme=scheme_factory(),
                       options=SolverOptions(**option_kw))
@@ -76,27 +77,26 @@ def run_one_cycle(scheme_factory, engine, **option_kw):
 class TestHaloBudget:
     """1 residual matvec + (columns | panels) MPK exchanges per cycle."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_standard_mpk_pays_one_exchange_per_column(self, engine):
-        total, _ = run_one_cycle(
-            lambda: TwoStageScheme(big_step=RESTART), engine)
+    @KERNEL_PATHS
+    def test_standard_mpk_pays_one_exchange_per_column(self, kernel_path):
+        total, _ = run_one_cycle(lambda: TwoStageScheme(big_step=RESTART))
         assert total["halo"]["count"] == 1 + RESTART
         assert total["halo"]["bytes"] == (1 + RESTART) * HALO_EXCHANGE_BYTES
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_ca_mpk_pays_one_exchange_per_panel(self, engine):
+    @KERNEL_PATHS
+    def test_ca_mpk_pays_one_exchange_per_panel(self, kernel_path):
         total, _ = run_one_cycle(
-            lambda: TwoStageScheme(big_step=RESTART), engine, mpk_mode="ca")
+            lambda: TwoStageScheme(big_step=RESTART), mpk_mode="ca")
         assert total["halo"]["count"] == 1 + PANELS
         assert total["halo"]["bytes"] == CA_HALO_BYTES
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_ca_overlap_pays_two_exchanges_per_panel(self, engine):
+    @KERNEL_PATHS
+    def test_ca_overlap_pays_two_exchanges_per_panel(self, kernel_path):
         """PA2 splits each panel's exchange in two messages — the eager
         depth-1 shell plus the posted (waited) deep ring — but moves
         exactly the same ghost volume as the blocking CA MPK."""
         total, _ = run_one_cycle(
-            lambda: TwoStageScheme(big_step=RESTART), engine,
+            lambda: TwoStageScheme(big_step=RESTART),
             mpk_mode="ca_overlap")
         assert total["halo"]["count"] == 1 + 2 * PANELS
         assert total["halo"]["bytes"] == CA_HALO_BYTES
@@ -119,9 +119,9 @@ class TestHaloBudget:
         ortho schemes' business: neither their count nor their payload
         may move."""
         std_total, std_ortho = run_one_cycle(
-            lambda: TwoStageScheme(big_step=RESTART), "loop")
+            lambda: TwoStageScheme(big_step=RESTART))
         ca_total, ca_ortho = run_one_cycle(
-            lambda: TwoStageScheme(big_step=RESTART), "loop", mpk_mode=mode)
+            lambda: TwoStageScheme(big_step=RESTART), mpk_mode=mode)
         assert ca_total["allreduce"] == std_total["allreduce"]
         assert ca_ortho["allreduce"] == std_ortho["allreduce"]
 
@@ -137,36 +137,36 @@ class TestAllreduceBudget:
         assert (total["allreduce"]["bytes"] - ortho["allreduce"]["bytes"]
                 == RESIDUAL_NORM_BYTES)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_two_stage(self, engine):
+    @KERNEL_PATHS
+    def test_two_stage(self, kernel_path):
         total, ortho = run_one_cycle(
-            lambda: TwoStageScheme(big_step=RESTART), engine)
+            lambda: TwoStageScheme(big_step=RESTART))
         # one fused stage-1 reduce per panel + one stage-2 pass at the
         # cycle end + the residual-norm reduce
         self._check(total, ortho, count=PANELS + 1,
                     ortho_bytes=TWO_STAGE_ORTHO_BYTES)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_bcgs_pip2(self, engine):
-        total, ortho = run_one_cycle(BCGSPIP2Scheme, engine)
+    @KERNEL_PATHS
+    def test_bcgs_pip2(self, kernel_path):
+        total, ortho = run_one_cycle(BCGSPIP2Scheme)
         # the paper's one-stage baseline: 2 fused reduces per panel
         self._check(total, ortho, count=2 * PANELS,
                     ortho_bytes=BCGS_PIP2_ORTHO_BYTES)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_fused_sketched_two_stage(self, engine):
+    @KERNEL_PATHS
+    def test_fused_sketched_two_stage(self, kernel_path):
         total, ortho = run_one_cycle(
             lambda: SketchedTwoStageScheme(big_step=RESTART, fused=True),
-            engine, solve_mode="sketched")
+            solve_mode="sketched")
         # the RGS contract: ONE collective per stage pass (6 panel
         # passes + 1 cycle-end pass), and the sketched solve path reuses
         # the scheme's basis sketch at zero extra collectives
         self._check(total, ortho, count=PANELS + 1,
                     ortho_bytes=FUSED_SKETCHED_ORTHO_BYTES)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_rbcgs(self, engine):
-        total, ortho = run_one_cycle(RBCGSScheme, engine)
+    @KERNEL_PATHS
+    def test_rbcgs(self, kernel_path):
+        total, ortho = run_one_cycle(RBCGSScheme)
         # sketch + projection + normalization reduces per panel
         self._check(total, ortho, count=3 * PANELS,
                     ortho_bytes=RBCGS_ORTHO_BYTES)
@@ -175,8 +175,8 @@ class TestAllreduceBudget:
         """The paper's core claim in count form: fewer synchronizations,
         even though the fused stage-1 messages are individually fatter."""
         _, two = run_one_cycle(
-            lambda: TwoStageScheme(big_step=RESTART), "loop")
-        _, one = run_one_cycle(BCGSPIP2Scheme, "loop")
+            lambda: TwoStageScheme(big_step=RESTART))
+        _, one = run_one_cycle(BCGSPIP2Scheme)
         assert two["allreduce"]["count"] < one["allreduce"]["count"]
         assert two["allreduce"]["bytes"] > one["allreduce"]["bytes"]
 
@@ -191,12 +191,11 @@ class TestBlockSolverBudget:
     """
 
     @staticmethod
-    def run_block_cycle(width, engine, scheme_factory, **option_kw):
+    def run_block_cycle(width, scheme_factory, **option_kw):
         import numpy as np
 
         from repro.krylov.block import block_sstep_gmres
-        sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu(),
-                         engine=engine)
+        sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu())
         rng = np.random.default_rng(0)
         cols = rng.standard_normal((sim.n, width))
         results = block_sstep_gmres(
@@ -208,11 +207,11 @@ class TestBlockSolverBudget:
         assert total["bcast"] == {"count": 0, "bytes": 0.0}
         return total
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @KERNEL_PATHS
     @pytest.mark.parametrize("width", [2, 4])
-    def test_two_stage_counts_frozen_bytes_scale(self, width, engine):
+    def test_two_stage_counts_frozen_bytes_scale(self, kernel_path, width):
         total = self.run_block_cycle(
-            width, engine, lambda: TwoStageScheme(big_step=RESTART))
+            width, lambda: TwoStageScheme(big_step=RESTART))
         # scalar budgets verbatim: counts must NOT grow with the width
         assert total["allreduce"]["count"] == PANELS + 1 + 1
         assert total["halo"]["count"] == 1 + RESTART
@@ -224,8 +223,7 @@ class TestBlockSolverBudget:
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_bcgs_pip2_ca_counts_frozen_bytes_scale(self, width):
-        total = self.run_block_cycle(
-            width, "loop", BCGSPIP2Scheme, mpk_mode="ca")
+        total = self.run_block_cycle(width, BCGSPIP2Scheme, mpk_mode="ca")
         assert total["allreduce"]["count"] == 2 * PANELS + 1
         assert total["halo"]["count"] == 1 + PANELS
         assert total["allreduce"]["bytes"] == width * (
@@ -235,7 +233,7 @@ class TestBlockSolverBudget:
     def test_width_independence_across_widths(self):
         """Same count doc at every width; bytes in exact proportion."""
         docs = {w: self.run_block_cycle(
-            w, "loop", lambda: TwoStageScheme(big_step=RESTART))
+            w, lambda: TwoStageScheme(big_step=RESTART))
             for w in (1, 2, 4)}
         base = docs[1]
         for w in (2, 4):

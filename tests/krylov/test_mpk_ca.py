@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import config
 from repro.exceptions import ConfigurationError
 from repro.krylov.basis import ChebyshevBasis, MonomialBasis, NewtonBasis
 from repro.krylov.mpk import MPK_MODES, MatrixPowersKernel, \
@@ -21,9 +20,6 @@ from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.precond.jacobi import JacobiPreconditioner
 from repro.precond.polynomial import ChebyshevPreconditioner
 
-ENGINES = ["loop", "batched"]
-
-
 def make_basis(sim, k, rng, storage="fp64"):
     basis = sim.zeros(k, storage=storage)
     v0 = rng.standard_normal(sim.n)
@@ -32,20 +28,22 @@ def make_basis(sim, k, rng, storage="fp64"):
     return basis
 
 
-def generate(mode, engine, *, nx=12, ranks=4, poly=None, precond_factory=None,
+def generate(mode, *, nx=12, ranks=4, poly=None, precond_factory=None,
              panels=((1, 6), (6, 9)), storage="fp64", seed=3):
-    with config.engine_scope(engine):
-        sim = Simulation(laplace2d(nx), ranks=ranks, machine=generic_cpu(),
-                         engine=engine)
-        pc = (precond_factory().setup(sim.matrix)
-              if precond_factory is not None else None)
-        op = PreconditionedOperator(sim.matrix, pc)
-        mpk = MatrixPowersKernel(op, poly, mode=mode)
-        basis = make_basis(sim, max(hi for _, hi in panels),
-                           np.random.default_rng(seed), storage=storage)
-        for lo, hi in panels:
-            mpk.extend(basis, lo, hi)
-        return basis.to_global(), sim.tracer
+    sim = Simulation(laplace2d(nx), ranks=ranks, machine=generic_cpu())
+    pc = (precond_factory().setup(sim.matrix)
+          if precond_factory is not None else None)
+    op = PreconditionedOperator(sim.matrix, pc)
+    mpk = MatrixPowersKernel(op, poly, mode=mode)
+    basis = make_basis(sim, max(hi for _, hi in panels),
+                       np.random.default_rng(seed), storage=storage)
+    for lo, hi in panels:
+        mpk.extend(basis, lo, hi)
+    return basis.to_global(), sim.tracer
+
+#: Each test so marked runs stacked ("batched") and per shard ("loop").
+KERNEL_PATHS = pytest.mark.parametrize("kernel_path", ["loop", "batched"],
+                                       indirect=True)
 
 
 POLYS = {
@@ -56,64 +54,72 @@ POLYS = {
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @KERNEL_PATHS
     @pytest.mark.parametrize("poly", sorted(POLYS))
-    def test_ca_matches_standard(self, engine, poly):
-        std, _ = generate("standard", engine, poly=POLYS[poly]())
-        ca, _ = generate("ca", engine, poly=POLYS[poly]())
+    def test_ca_matches_standard(self, kernel_path, poly):
+        std, _ = generate("standard", poly=POLYS[poly]())
+        ca, _ = generate("ca", poly=POLYS[poly]())
         np.testing.assert_array_equal(std, ca)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("poly", sorted(POLYS))
+    def test_ca_matches_standard_ragged(self, poly):
+        """144 rows over 5 ranks: no stack, per-shard kernels."""
+        std, _ = generate("standard", ranks=5, poly=POLYS[poly]())
+        ca, _ = generate("ca", ranks=5, poly=POLYS[poly]())
+        np.testing.assert_array_equal(std, ca)
+
     @pytest.mark.parametrize("pc", [JacobiPreconditioner,
                                     BlockJacobiPreconditioner])
-    def test_ca_matches_standard_preconditioned(self, engine, pc):
-        std, _ = generate("standard", engine, precond_factory=pc)
-        ca, _ = generate("ca", engine, precond_factory=pc)
+    def test_ca_matches_standard_preconditioned(self, pc):
+        std, _ = generate("standard", precond_factory=pc)
+        ca, _ = generate("ca", precond_factory=pc)
         np.testing.assert_array_equal(std, ca)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_ca_matches_standard_three_term_preconditioned(self, engine):
+    @KERNEL_PATHS
+    def test_ca_matches_standard_three_term_preconditioned(self, kernel_path):
         """Chebyshev recurrence (gamma != 0) reaches back across the
         panel boundary — the prev vector rides in the same exchange."""
-        std, _ = generate("standard", engine,
+        std, _ = generate("standard",
                           poly=ChebyshevBasis(0.1, 8.0),
                           precond_factory=BlockJacobiPreconditioner)
-        ca, _ = generate("ca", engine, poly=ChebyshevBasis(0.1, 8.0),
+        ca, _ = generate("ca", poly=ChebyshevBasis(0.1, 8.0),
                          precond_factory=BlockJacobiPreconditioner)
         np.testing.assert_array_equal(std, ca)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_ca_matches_standard_fp32_storage(self, engine):
-        std, _ = generate("standard", engine, storage="fp32")
-        ca, _ = generate("ca", engine, storage="fp32")
+    @KERNEL_PATHS
+    def test_ca_matches_standard_fp32_storage(self, kernel_path):
+        std, _ = generate("standard", storage="fp32")
+        ca, _ = generate("ca", storage="fp32")
         np.testing.assert_array_equal(std, ca)
 
-    def test_engines_bit_identical_in_ca_mode(self):
-        loop, _ = generate("ca", "loop", poly=POLYS["newton"]())
-        batched, _ = generate("ca", "batched", poly=POLYS["newton"]())
-        np.testing.assert_array_equal(loop, batched)
+    def test_engines_bit_identical_in_ca_mode(self, per_shard):
+        """Stacked and per-shard kernels give the same CA basis."""
+        stacked, _ = generate("ca", poly=POLYS["newton"]())
+        with per_shard():
+            shards, _ = generate("ca", poly=POLYS["newton"]())
+        np.testing.assert_array_equal(stacked, shards)
 
 
 class TestCommunicationProfile:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_one_exchange_per_panel(self, engine):
-        _, tr_std = generate("standard", engine)
-        _, tr_ca = generate("ca", engine)
+    @KERNEL_PATHS
+    def test_one_exchange_per_panel(self, kernel_path):
+        _, tr_std = generate("standard")
+        _, tr_ca = generate("ca")
         # two panels of 5 + 3 steps: standard pays one halo per step
         assert tr_std.kernel_count("spmv", "halo") == 8
         assert tr_ca.kernel_count("spmv", "halo") == 2
 
     def test_same_spmv_call_count(self):
-        _, tr_std = generate("standard", "loop")
-        _, tr_ca = generate("ca", "loop")
+        _, tr_std = generate("standard")
+        _, tr_ca = generate("ca")
         assert (tr_std.kernel_count("spmv", "spmv_local")
                 == tr_ca.kernel_count("spmv", "spmv_local") == 8)
 
     def test_ca_charges_redundant_work(self):
         """CA's local SpMV seconds exceed standard's (ghost rings are
         recomputed) while its halo seconds shrink."""
-        _, tr_std = generate("standard", "loop", nx=16, ranks=8)
-        _, tr_ca = generate("ca", "loop", nx=16, ranks=8)
+        _, tr_std = generate("standard", nx=16, ranks=8)
+        _, tr_ca = generate("ca", nx=16, ranks=8)
         assert (tr_ca.kernel_seconds("spmv", "spmv_local")
                 > tr_std.kernel_seconds("spmv", "spmv_local"))
         assert (tr_ca.kernel_seconds("spmv", "halo")
@@ -124,8 +130,8 @@ class TestCommunicationProfile:
         beyond the one-time plan analysis CA charges exactly the
         standard kernel's modeled time."""
         panels = tuple((k, k + 1) for k in range(1, 7))
-        _, tr_std = generate("standard", "loop", panels=panels)
-        _, tr_ca = generate("ca", "loop", panels=panels)
+        _, tr_std = generate("standard", panels=panels)
+        _, tr_ca = generate("ca", panels=panels)
         assert tr_std.kernel_count("spmv", "halo") == 6
         assert tr_ca.kernel_count("spmv", "halo") == 6
         plan_setup = tr_ca.kernel_seconds("spmv", "ghost_plan")
@@ -136,32 +142,30 @@ class TestCommunicationProfile:
 
 
 class TestDegeneratePaths:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @KERNEL_PATHS
     @pytest.mark.parametrize("ranks", [1, 3])
-    def test_ghost_level_zero_block_diagonal(self, engine, ranks):
+    def test_ghost_level_zero_block_diagonal(self, kernel_path, ranks):
         """No inter-rank coupling: empty ghost regions, zero-byte
-        exchange, still bit-identical under both engines."""
+        exchange, still bit-identical to the standard kernel."""
         blocks = [sp.diags([2.0] * 4) + sp.diags([1.0] * 3, 1)
                   for _ in range(3)]
         a = sp.block_diag(blocks).tocsr()
-        with config.engine_scope(engine):
-            res = {}
-            for mode in MPK_MODES:
-                sim = Simulation(a, ranks=ranks, machine=generic_cpu(),
-                                 engine=engine)
-                basis = make_basis(sim, 5, np.random.default_rng(0))
-                mpk = MatrixPowersKernel(
-                    PreconditionedOperator(sim.matrix), mode=mode)
-                mpk.extend(basis, 1, 5)
-                res[mode] = (basis.to_global(),
-                             sim.tracer.kernel_seconds("spmv", "halo"))
-            np.testing.assert_array_equal(res["standard"][0], res["ca"][0])
-            assert res["ca"][1] == 0.0  # nothing to exchange
+        res = {}
+        for mode in MPK_MODES:
+            sim = Simulation(a, ranks=ranks, machine=generic_cpu())
+            basis = make_basis(sim, 5, np.random.default_rng(0))
+            mpk = MatrixPowersKernel(
+                PreconditionedOperator(sim.matrix), mode=mode)
+            mpk.extend(basis, 1, 5)
+            res[mode] = (basis.to_global(),
+                         sim.tracer.kernel_seconds("spmv", "halo"))
+        np.testing.assert_array_equal(res["standard"][0], res["ca"][0])
+        assert res["ca"][1] == 0.0  # nothing to exchange
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_single_step_panel(self, engine):
-        std, _ = generate("standard", engine, panels=((1, 2),))
-        ca, _ = generate("ca", engine, panels=((1, 2),))
+    @KERNEL_PATHS
+    def test_single_step_panel(self, kernel_path):
+        std, _ = generate("standard", panels=((1, 2),))
+        ca, _ = generate("ca", panels=((1, 2),))
         np.testing.assert_array_equal(std, ca)
 
     def test_empty_panel_is_noop(self):
@@ -178,26 +182,26 @@ class TestOverlappedCA:
     """PA2 (``"ca_overlap"``): same numerics as ``"ca"``, the deep-ring
     exchange posted behind the first owned-rows SpMV."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @KERNEL_PATHS
     @pytest.mark.parametrize("poly", sorted(POLYS))
-    def test_bit_identical_to_ca(self, engine, poly):
-        ca, _ = generate("ca", engine, poly=POLYS[poly]())
-        ov, _ = generate("ca_overlap", engine, poly=POLYS[poly]())
+    def test_bit_identical_to_ca(self, kernel_path, poly):
+        ca, _ = generate("ca", poly=POLYS[poly]())
+        ov, _ = generate("ca_overlap", poly=POLYS[poly]())
         np.testing.assert_array_equal(ca, ov)
 
     def test_two_halo_charges_per_panel(self):
         """The split exchange: one eager depth-1 charge plus one waited
         ring per panel (the blocking CA kernel pays one per panel)."""
-        _, tr_ca = generate("ca", "loop", nx=16, ranks=8)
-        _, tr_ov = generate("ca_overlap", "loop", nx=16, ranks=8)
+        _, tr_ca = generate("ca", nx=16, ranks=8)
+        _, tr_ov = generate("ca_overlap", nx=16, ranks=8)
         assert tr_ca.kernel_count("spmv", "halo") == 2
         assert tr_ov.kernel_count("spmv", "halo") == 4
 
     def test_ring_latency_partially_hidden(self):
         """ca_overlap reports hidden halo seconds; blocking ca none.
         The hidden part is bounded by what was actually posted."""
-        _, tr_ca = generate("ca", "loop", nx=16, ranks=8)
-        _, tr_ov = generate("ca_overlap", "loop", nx=16, ranks=8)
+        _, tr_ca = generate("ca", nx=16, ranks=8)
+        _, tr_ov = generate("ca_overlap", nx=16, ranks=8)
         assert tr_ca.overlapped_seconds(kernel="halo") == 0.0
         hidden = tr_ov.overlapped_seconds(kernel="halo")
         assert hidden > 0.0
@@ -211,8 +215,8 @@ class TestOverlappedCA:
         streams; the extra cost per panel is one more kernel launch (the
         per-call latency/fixed-overhead terms), never more work."""
         m = generic_cpu()
-        _, tr_ca = generate("ca", "loop", nx=16, ranks=8)
-        _, tr_ov = generate("ca_overlap", "loop", nx=16, ranks=8)
+        _, tr_ca = generate("ca", nx=16, ranks=8)
+        _, tr_ov = generate("ca_overlap", nx=16, ranks=8)
         ca_s = tr_ca.kernel_seconds("spmv", "spmv_local")
         ov_s = tr_ov.kernel_seconds("spmv", "spmv_local")
         assert ov_s >= ca_s
@@ -223,8 +227,8 @@ class TestOverlappedCA:
         """Depth-1 panels: the eager shell IS the whole closure, so the
         posted exchange vanishes and charges match blocking ca exactly."""
         panels = tuple((k, k + 1) for k in range(1, 7))
-        _, tr_ca = generate("ca", "loop", panels=panels)
-        _, tr_ov = generate("ca_overlap", "loop", panels=panels)
+        _, tr_ca = generate("ca", panels=panels)
+        _, tr_ov = generate("ca_overlap", panels=panels)
         assert (tr_ov.kernel_count("spmv", "halo")
                 == tr_ca.kernel_count("spmv", "halo") == 6)
         assert tr_ov.overlapped_seconds(kernel="halo") == 0.0
@@ -241,12 +245,11 @@ class TestOverlappedCA:
         with pytest.raises(ConfigurationError, match="ca_overlap|PA2"):
             MatrixPowersKernel(op, mode="ca_overlap")
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_sstep_gmres_solve_identical(self, engine):
+    @KERNEL_PATHS
+    def test_sstep_gmres_solve_identical(self, kernel_path):
         results = {}
         for mode in ("ca", "ca_overlap"):
-            sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu(),
-                             engine=engine)
+            sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu())
             results[mode] = sstep_gmres(sim, sim.ones_solution_rhs(), s=5,
                                         restart=20, tol=1e-8, maxiter=2000,
                                         options=SolverOptions(mpk_mode=mode))
@@ -322,12 +325,20 @@ class TestComposition:
 
 
 class TestSolverIntegration:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_sstep_gmres_ca_converges_identically(self, engine):
+    @KERNEL_PATHS
+    def test_sstep_gmres_ca_converges_identically(self, kernel_path):
+        self.check_ca_converges_identically(ranks=4)
+
+    def test_sstep_gmres_ca_converges_identically_ragged(self):
+        """256 rows over 5 ranks: no stack, per-shard kernels."""
+        self.check_ca_converges_identically(ranks=5)
+
+    @staticmethod
+    def check_ca_converges_identically(ranks):
         results = {}
         for mode in MPK_MODES:
-            sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu(),
-                             engine=engine)
+            sim = Simulation(laplace2d(16), ranks=ranks,
+                             machine=generic_cpu())
             results[mode] = sstep_gmres(sim, sim.ones_solution_rhs(), s=5,
                                         restart=20, tol=1e-8, maxiter=2000,
                                         options=SolverOptions(mpk_mode=mode))

@@ -19,11 +19,13 @@ from repro.ortho.randomized import RBCGSScheme, SketchedTwoStageScheme
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.machine import generic_cpu
 
-ENGINES = ["loop", "batched"]
+#: Each test so marked runs stacked ("batched") and per shard ("loop").
+KERNEL_PATHS = pytest.mark.parametrize("kernel_path", ["loop", "batched"],
+                                       indirect=True)
 
 
-def make_sim(a, ranks=4, engine=None):
-    return Simulation(a, ranks=ranks, machine=generic_cpu(), engine=engine)
+def make_sim(a, ranks=4):
+    return Simulation(a, ranks=ranks, machine=generic_cpu())
 
 
 def random_hessenberg(rng, c):
@@ -102,11 +104,11 @@ class TestSolveModeSwitch:
         res = sstep_gmres(sim, sim.ones_solution_rhs(), s=3, restart=9)
         assert res.diagnostics == {}
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_sketched_with_classical_scheme(self, engine):
+    @KERNEL_PATHS
+    def test_sketched_with_classical_scheme(self, kernel_path):
         """A deterministic scheme has no basis sketch; the solver
         maintains one itself and still converges."""
-        sim = make_sim(laplace2d(16), engine=engine)
+        sim = make_sim(laplace2d(16))
         b = sim.ones_solution_rhs()
         res = sstep_gmres(sim, b, s=5, restart=20, tol=1e-8, maxiter=3000,
                           scheme=TwoStageScheme(big_step=20),
@@ -157,9 +159,9 @@ class TestSolveModeSwitch:
         assert (results["sketched"].sync_count
                 == results["classical"].sync_count + checkpoints)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_fused_rgs_converges(self, engine):
-        sim = make_sim(laplace2d(16), engine=engine)
+    @KERNEL_PATHS
+    def test_fused_rgs_converges(self, kernel_path):
+        sim = make_sim(laplace2d(16))
         b = sim.ones_solution_rhs()
         res = sstep_gmres(sim, b, s=5, restart=20, tol=1e-8, maxiter=3000,
                           scheme=SketchedTwoStageScheme(big_step=20,
@@ -170,49 +172,55 @@ class TestSolveModeSwitch:
         true_rel = np.linalg.norm(b - a @ res.x) / np.linalg.norm(b)
         assert true_rel <= 1e-7
 
-    def test_engines_bit_identical(self):
-        """The full sketched solve is bit-reproducible across engines."""
+    def test_engines_bit_identical(self, per_shard):
+        """The full sketched solve is bit-reproducible whether the kernel
+        engine runs stacked or per shard."""
         a = laplace2d(14)
-        xs = {}
-        for engine in ENGINES:
-            sim = make_sim(a, engine=engine)
+
+        def solve():
+            sim = make_sim(a)
             res = sstep_gmres(sim, sim.ones_solution_rhs(), s=5, restart=20,
                               tol=1e-8, maxiter=2000,
                               scheme=SketchedTwoStageScheme(big_step=20,
                                                             fused=True),
                               options=SolverOptions(solve_mode="sketched"))
-            xs[engine] = (res.x, res.iterations, res.relative_residual)
-        np.testing.assert_array_equal(xs["loop"][0], xs["batched"][0])
-        assert xs["loop"][1:] == xs["batched"][1:]
+            return res.x, res.iterations, res.relative_residual
+
+        stacked = solve()
+        with per_shard():
+            shards = solve()
+        np.testing.assert_array_equal(stacked[0], shards[0])
+        assert stacked[1:] == shards[1:]
 
 
 class TestEdgeCases:
-    """Hessenberg-recovery edge cases, both solve modes, both engines."""
+    """Hessenberg-recovery edge cases, both solve modes, stacked and
+    per shard."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @KERNEL_PATHS
     @pytest.mark.parametrize("solve_mode", ["classical", "sketched"])
-    def test_zero_rhs(self, engine, solve_mode):
-        sim = make_sim(laplace2d(8), engine=engine)
+    def test_zero_rhs(self, kernel_path, solve_mode):
+        sim = make_sim(laplace2d(8))
         res = sstep_gmres(sim, np.zeros(sim.n), s=3, restart=9,
                           options=SolverOptions(solve_mode=solve_mode))
         assert res.converged and res.iterations == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @KERNEL_PATHS
     @pytest.mark.parametrize("solve_mode", ["classical", "sketched"])
-    def test_s_equals_one_degenerate_cycle(self, engine, solve_mode):
+    def test_s_equals_one_degenerate_cycle(self, kernel_path, solve_mode):
         """s=1: every panel is a single column (the first block two);
         the mixed Hessenberg recovery degenerates to standard Arnoldi
         bookkeeping and must still converge."""
-        sim = make_sim(laplace2d(10), engine=engine)
+        sim = make_sim(laplace2d(10))
         b = sim.ones_solution_rhs()
         res = sstep_gmres(sim, b, s=1, restart=12, tol=1e-8, maxiter=3000,
                           options=SolverOptions(solve_mode=solve_mode))
         assert res.converged
         np.testing.assert_allclose(res.x, 1.0, atol=1e-5)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @KERNEL_PATHS
     @pytest.mark.parametrize("solve_mode", ["classical", "sketched"])
-    def test_happy_breakdown_mid_panel(self, engine, solve_mode):
+    def test_happy_breakdown_mid_panel(self, kernel_path, solve_mode):
         """An operator with minimal polynomial degree 4 closes the
         Krylov space mid-cycle: the second panel's Cholesky breaks down,
         the solver truncates at the last sound checkpoint, and the
@@ -220,7 +228,7 @@ class TestEdgeCases:
         n = 64
         diag = np.repeat([1.0, 2.0, 3.0, 4.0], n // 4)
         a = sp.diags(diag).tocsr()
-        sim = make_sim(a, engine=engine)
+        sim = make_sim(a)
         b = np.asarray(a @ np.ones(n)).ravel()
         res = sstep_gmres(sim, b, s=2, restart=8, tol=1e-10, maxiter=200,
                           options=SolverOptions(solve_mode=solve_mode))
@@ -294,7 +302,7 @@ class TestAutomaticResketch:
                                options=SolverOptions(
                                    solve_mode="sketched",
                                    resketch_threshold=threshold))
-        from repro.krylov.sstep_gmres import DEFAULT_RESKETCH_THRESHOLD
+        from repro.krylov.options import DEFAULT_RESKETCH_THRESHOLD
         a = solve(None)
         b = solve(DEFAULT_RESKETCH_THRESHOLD)
         np.testing.assert_array_equal(a.x, b.x)

@@ -1,4 +1,4 @@
-"""SolverOptions: validation, the deprecated-kwarg shim, and wiring."""
+"""SolverOptions: validation, the options-only solver signature, and wiring."""
 
 from __future__ import annotations
 
@@ -62,13 +62,6 @@ class TestDataclass:
         assert SOLVE_MODES == ("classical", "sketched", "adaptive")
         assert MPK_SOLVER_MODES == ("standard", "ca", "ca_overlap", "auto")
 
-    def test_constants_reexported_from_solver_module(self):
-        import importlib
-        mod = importlib.import_module("repro.krylov.sstep_gmres")
-        assert mod.SOLVE_MODES is SOLVE_MODES
-        assert mod.MPK_SOLVER_MODES is MPK_SOLVER_MODES
-        assert mod.DEFAULT_RESKETCH_THRESHOLD == DEFAULT_RESKETCH_THRESHOLD
-
     def test_top_level_exports(self):
         assert repro.SolverOptions is SolverOptions
         assert "SolverOptions" in repro.__all__
@@ -92,42 +85,17 @@ class TestOptionsPath:
         assert res.converged
         assert "solve_mode" not in res.diagnostics
 
-
-class TestDeprecatedKwargShim:
-    def test_legacy_kwargs_warn_but_work(self):
-        sim = make_sim()
-        with pytest.warns(DeprecationWarning, match="SolverOptions"):
-            res = solve(sim, solve_mode="sketched", sketch_seed=11)
-        assert res.converged
-        assert res.diagnostics["solve_mode"] == "sketched"
-
-    def test_legacy_and_options_give_identical_results(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            res_legacy = solve(make_sim(), solve_mode="sketched",
-                               sketch_seed=11)
-        res_opts = solve(make_sim(),
-                         options=SolverOptions(solve_mode="sketched",
-                                               sketch_seed=11))
-        assert res_legacy.x.tobytes() == res_opts.x.tobytes()
-        assert res_legacy.iterations == res_opts.iterations
-
-    def test_mixing_options_and_legacy_raises(self):
-        sim = make_sim()
-        with pytest.raises(ConfigurationError, match="not both"):
-            solve(sim, options=SolverOptions(), mpk_mode="ca")
-
     def test_unknown_kwarg_is_type_error(self):
         sim = make_sim()
         with pytest.raises(TypeError, match="unexpected keyword"):
             solve(sim, solver_mode="sketched")  # typo'd name
 
-    def test_legacy_validation_still_configuration_error(self):
+    def test_bare_knob_kwarg_is_type_error(self):
+        """Knobs travel only inside ``options``; passing one directly is
+        an unknown keyword like any other."""
         sim = make_sim()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigurationError, match="solve_mode"):
-                solve(sim, solve_mode="quantum")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            solve(sim, solve_mode="sketched")
 
 
 class TestDownstreamWiring:

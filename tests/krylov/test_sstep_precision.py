@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.krylov.options import OPTION_FIELD_NAMES, SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -18,8 +17,8 @@ NX = 20
 A = laplace2d(NX)
 
 
-def _solve(engine=None, **kw):
-    sim = Simulation(A, ranks=4, machine=generic_cpu(), engine=engine)
+def _solve(**kw):
+    sim = Simulation(A, ranks=4, machine=generic_cpu())
     b = sim.ones_solution_rhs()
     opts = SolverOptions(**{k: kw.pop(k) for k in tuple(kw)
                             if k in OPTION_FIELD_NAMES})
@@ -59,10 +58,13 @@ class TestPrecisionArgument:
                      scheme=TwoStageScheme(big_step=30))
         assert res.scheme == "two-stage"
 
-    def test_engines_bit_identical_per_precision(self):
+    def test_engines_bit_identical_per_precision(self, per_shard):
+        """Stacked and per-shard kernels give the same solve at every
+        storage precision."""
         for precision in (None, "fp32", "bf16"):
-            loop = _solve(engine="loop", precision=precision)
-            batched = _solve(engine="batched", precision=precision)
+            batched = _solve(precision=precision)
+            with per_shard():
+                loop = _solve(precision=precision)
             np.testing.assert_array_equal(loop.x, batched.x)
             assert loop.iterations == batched.iterations
             assert loop.total_time == batched.total_time
@@ -100,8 +102,3 @@ class TestBasisStorage:
         assert mv.storage == "bf16"
         assert mv.np_dtype == np.float32
         assert mv.word_bytes == 2.0
-
-    def test_engine_scope_does_not_leak(self):
-        with config.engine_scope("loop"):
-            res = _solve(precision="fp32")
-        assert res.converged

@@ -213,13 +213,14 @@ class TestSimulationIntegration:
         assert "repro_kernel_flops_total" in text
         assert 'kind="halo"' in text
 
-    def test_counters_are_engine_invariant(self):
-        """Loop costs every rank's shard; batched costs one uniform
-        shard and fans it out by the rank count — the aggregate flop,
-        memory-byte, and wire-byte counters must agree exactly."""
-        totals = {}
-        for engine in ("loop", "batched"):
-            sim, res = self._solve(metrics=True, engine=engine)
-            totals[engine] = res.metrics["totals"]
+    def test_counters_are_engine_invariant(self, per_shard):
+        """The per-shard path costs every rank's shard; the stacked path
+        costs one uniform shard and fans it out by the rank count — the
+        aggregate flop, memory-byte, and wire-byte counters must agree
+        exactly."""
+        _, stacked = self._solve(metrics=True)
+        with per_shard():
+            _, shards = self._solve(metrics=True)
         for field in ("flops", "mem_bytes", "net_bytes", "seconds"):
-            assert totals["loop"][field] == totals["batched"][field], field
+            assert (stacked.metrics["totals"][field]
+                    == shards.metrics["totals"][field]), field

@@ -8,6 +8,7 @@ import pytest
 from repro.distla.multivector import DistMultiVector
 from repro.ortho.backend import DistBackend, NumpyBackend
 from repro.parallel.partition import Partition
+from repro.sketch.operators import SparseSignSketch
 
 
 @pytest.fixture
@@ -72,11 +73,12 @@ class TestPrimitiveEquivalence:
         c.shards[0][...] = 0
         assert not np.allclose(dx.to_global(), c.to_global())
 
-    def test_sketch_dot_bit_identical(self, backends, rng):
+    def test_sparse_sign_sketch_bit_identical(self, backends, rng):
         nb, db, part, comm = backends
         x = rng.standard_normal((97, 3))
-        s_np = nb.sketch_dot(x, 16, seed=42)
-        s_db = db.sketch_dot(dist_of(x, part, comm), 16, seed=42)
+        op = SparseSignSketch(97, 16, seed=42)
+        s_np = nb.sketch(x, op)
+        s_db = db.sketch(dist_of(x, part, comm), op)
         # same hash maps; only the reduction tree differs
         np.testing.assert_allclose(s_np, s_db, rtol=1e-13, atol=1e-15)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.config import EPS
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import CholeskyBreakdownError
@@ -135,36 +134,38 @@ class TestFusedSketchedTwoStage:
         res2 = drive(SketchedTwoStageScheme(big_step=10, fused=True), v2)
         assert np.linalg.cond(res2.q) < 10.0
 
-    def test_one_collective_per_stage_pass(self, comm4, rng):
+    def test_one_collective_per_stage_pass(self, comm4, rng, per_shard):
         """Acceptance: exactly one allreduce-equivalent collective per
         stage pass (stage-1 per panel + one per big panel), with
-        identical charged costs and bit-identical results across the
-        loop and batched engines."""
+        identical charged costs and bit-identical results whether the
+        kernel engine runs stacked or per shard."""
         n, k, s, bs = 600, 20, 5, 10
         v = logscaled_matrix(n, k, 1e10, rng)
         part = Partition(n, 4)
-        outputs = {}
-        for engine in ("loop", "batched"):
-            with config.engine_scope(engine):
-                from repro.parallel.communicator import SimComm
-                from repro.parallel.machine import generic_cpu
-                from repro.parallel.tracing import Tracer
-                tracer = Tracer()
-                comm = SimComm(generic_cpu(), 4, tracer, engine=engine)
-                dv = DistMultiVector.from_global(v, part, comm)
-                scheme = SketchedTwoStageScheme(big_step=bs, fused=True)
-                r = np.zeros((k, k))
-                scheme.begin_cycle(DistBackend(comm, engine=engine), dv, r)
-                snap = tracer.snapshot()
-                for lo in range(0, k, s):
-                    scheme.panel_arrived(lo, lo + s)
-                scheme.finish_cycle()
-                totals = tracer.since(snap)
-                allreduces = sum(
-                    c for (_, kern), c in totals.counts.items()
-                    if kern == "allreduce")
-                outputs[engine] = (dv.to_global(), r.copy(), allreduces,
-                                  totals.clock)
+        from repro.parallel.communicator import SimComm
+        from repro.parallel.machine import generic_cpu
+        from repro.parallel.tracing import Tracer
+
+        def run():
+            tracer = Tracer()
+            comm = SimComm(generic_cpu(), 4, tracer)
+            dv = DistMultiVector.from_global(v, part, comm)
+            scheme = SketchedTwoStageScheme(big_step=bs, fused=True)
+            r = np.zeros((k, k))
+            scheme.begin_cycle(DistBackend(comm), dv, r)
+            snap = tracer.snapshot()
+            for lo in range(0, k, s):
+                scheme.panel_arrived(lo, lo + s)
+            scheme.finish_cycle()
+            totals = tracer.since(snap)
+            allreduces = sum(
+                c for (_, kern), c in totals.counts.items()
+                if kern == "allreduce")
+            return dv.to_global(), r.copy(), allreduces, totals.clock
+
+        outputs = {"batched": run()}
+        with per_shard():
+            outputs["loop"] = run()
         stage_passes = k // s + k // bs  # 4 stage-1 + 2 big-panel
         assert outputs["loop"][2] == stage_passes
         assert outputs["batched"][2] == stage_passes
@@ -226,23 +227,27 @@ class TestDistributedEquivalence:
         lambda: SketchedTwoStageScheme(big_step=10),
     ], ids=["rbcgs", "sketched-two-stage"])
     def test_numpy_vs_dist_and_loop_vs_batched(self, comm4, rng,
-                                               make_scheme):
+                                               make_scheme, per_shard):
         n, k = 600, 10
         v = logscaled_matrix(n, k, 1e8, rng)
         ref = drive(make_scheme(), v)
         part = Partition(n, 4)
-        outputs = {}
-        for engine in ("loop", "batched"):
-            with config.engine_scope(engine):
-                dv = DistMultiVector.from_global(v, part, comm4)
-                scheme = make_scheme()
-                r = np.zeros((k, k))
-                scheme.begin_cycle(DistBackend(comm4, engine=engine), dv, r)
-                for lo in range(0, k, 5):
-                    scheme.panel_arrived(lo, lo + 5)
-                scheme.finish_cycle()
-                outputs[engine] = (dv.to_global(), r.copy())
-        # engines agree bitwise on the full scheme output
+
+        def run():
+            dv = DistMultiVector.from_global(v, part, comm4)
+            scheme = make_scheme()
+            r = np.zeros((k, k))
+            scheme.begin_cycle(DistBackend(comm4), dv, r)
+            for lo in range(0, k, 5):
+                scheme.panel_arrived(lo, lo + 5)
+            scheme.finish_cycle()
+            return dv.to_global(), r.copy()
+
+        outputs = {"batched": run()}
+        with per_shard():
+            outputs["loop"] = run()
+        # stacked and per-shard kernels agree bitwise on the full
+        # scheme output
         np.testing.assert_array_equal(outputs["loop"][0],
                                       outputs["batched"][0])
         np.testing.assert_array_equal(outputs["loop"][1],

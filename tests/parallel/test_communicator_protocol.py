@@ -52,7 +52,7 @@ class TestProtocolConformance:
 
     def test_incomplete_object_is_not_communicator(self):
         class Half:
-            machine = size = tracer = cost = engine = None
+            machine = size = tracer = cost = None
             backend = "half"
 
             def allreduce_sum(self, shards):
@@ -108,7 +108,3 @@ class TestMakeComm:
         tracer = Tracer()
         comm = make_comm("sim", tracer=tracer)
         assert comm.tracer is tracer
-
-    def test_engine_threaded_through(self):
-        comm = make_comm("sim", engine="loop")
-        assert comm.engine == "loop"

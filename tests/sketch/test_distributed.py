@@ -1,11 +1,12 @@
-"""Distributed sketch application: engine equivalence, costs, syncs."""
+"""Distributed sketch application: stacked vs per-shard equivalence,
+costs, syncs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import config
+from repro.distla.engine import BatchedEngine, LoopEngine
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
@@ -19,15 +20,14 @@ M_ROWS = 24
 K = 3
 
 
-def sketch_under(engine: str, family: str, n: int, ranks: int,
+def sketch_under(engine: LoopEngine, family: str, n: int, ranks: int,
                  seed: int = 17):
     comm = SimComm(generic_cpu(), ranks, Tracer())
     part = Partition(n, ranks)
     rng = np.random.default_rng(0)
     v = DistMultiVector.from_global(rng.standard_normal((n, K)), part, comm)
     op = make_operator(family, n, M_ROWS, seed=seed)
-    with config.engine_scope(engine):
-        out = sketch_multivector(v, op)
+    out = engine.sketch_apply(v, op)
     return out, comm.tracer, op, v
 
 
@@ -36,36 +36,35 @@ def sketch_under(engine: str, family: str, n: int, ranks: int,
                          ids=["uniform4", "uniform8", "ragged8", "ragged3"])
 class TestEngineEquivalence:
     def test_bit_identical_across_engines(self, family, ranks, n):
-        loop, _, _, _ = sketch_under("loop", family, n, ranks)
-        batched, _, _, _ = sketch_under("batched", family, n, ranks)
+        loop, _, _, _ = sketch_under(LoopEngine(), family, n, ranks)
+        batched, _, _, _ = sketch_under(BatchedEngine(), family, n, ranks)
         np.testing.assert_array_equal(batched, loop)
 
     def test_charged_costs_identical(self, family, ranks, n):
-        _, t_loop, _, _ = sketch_under("loop", family, n, ranks)
-        _, t_batched, _, _ = sketch_under("batched", family, n, ranks)
+        _, t_loop, _, _ = sketch_under(LoopEngine(), family, n, ranks)
+        _, t_batched, _, _ = sketch_under(BatchedEngine(), family, n, ranks)
         assert t_batched.clock == t_loop.clock
         assert dict(t_batched.by_kernel) == dict(t_loop.by_kernel)
         assert dict(t_batched.counts) == dict(t_loop.counts)
 
     def test_matches_in_memory_apply(self, family, ranks, n):
-        out, _, op, v = sketch_under("batched", family, n, ranks)
+        out, _, op, v = sketch_under(BatchedEngine(), family, n, ranks)
         ref = op.apply(v.to_global())
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
 
 class TestProtocol:
     def test_single_synchronization(self):
-        _, tracer, _, _ = sketch_under("loop", "sparse", 96, 8)
-        assert tracer.sync_count() == 1
-        _, tracer, _, _ = sketch_under("batched", "sparse", 96, 8)
-        assert tracer.sync_count() == 1
+        for engine in (LoopEngine(), BatchedEngine()):
+            _, tracer, _, _ = sketch_under(engine, "sparse", 96, 8)
+            assert tracer.sync_count() == 1
 
     def test_rank_count_invariance(self):
         """The sketch is a property of (operator, V), not of the
         partition: different rank counts agree to reduction rounding."""
-        ref, _, _, _ = sketch_under("loop", "sparse", 96, 2)
+        ref, _, _, _ = sketch_under(LoopEngine(), "sparse", 96, 2)
         for ranks in (3, 8):
-            out, _, _, _ = sketch_under("batched", "sparse", 96, ranks)
+            out, _, _, _ = sketch_under(BatchedEngine(), "sparse", 96, ranks)
             np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-14)
 
     def test_height_mismatch_rejected(self):
@@ -75,17 +74,6 @@ class TestProtocol:
         op = make_operator("sparse", 97, M_ROWS, seed=0)
         with pytest.raises(ShapeError):
             sketch_multivector(v, op)
-
-    def test_explicit_engine_argument(self):
-        comm = SimComm(generic_cpu(), 4, Tracer())
-        part = Partition(96, 4)
-        rng = np.random.default_rng(1)
-        v = DistMultiVector.from_global(rng.standard_normal((96, K)),
-                                        part, comm)
-        op = make_operator("sparse", 96, M_ROWS, seed=2)
-        a = sketch_multivector(v, op, engine="loop")
-        b = sketch_multivector(v, op, engine="batched")
-        np.testing.assert_array_equal(a, b)
 
 
 class TestFusedDotSketch:
@@ -100,10 +88,10 @@ class TestFusedDotSketch:
         v = DistMultiVector.from_global(rng.standard_normal((n, K)),
                                         part, comm)
         op = make_operator("sparse", n, M_ROWS, seed=9)
-        for engine in ("loop", "batched"):
-            backend = DistBackend(comm, engine=engine)
+        backend = DistBackend(comm)
+        for engine in (LoopEngine(), BatchedEngine()):
             before = comm.tracer.sync_count()
-            (p,), sv = backend.fused_dots_sketch([(q, v)], v, op)
+            (p,), sv = engine.fused_dot_sketch([(q, v)], v, op)
             assert comm.tracer.sync_count() - before == 1
             np.testing.assert_allclose(p, backend.dot(q, v), rtol=1e-13)
             np.testing.assert_array_equal(sv, backend.sketch(v, op))

@@ -34,19 +34,18 @@ class TestWorkflow:
         assert "PYTHONPATH=src python -m pytest -x -q" in runs
 
     def test_tier1_engine_matrix(self):
-        """Both kernel engines are first-class tier-1 matrix legs (not a
-        bolt-on second pytest step)."""
+        """Tier-1 runs one leg per Python version: the library has a
+        single kernel engine, so there is no engine axis to multiply the
+        legs, and each leg makes exactly one pytest invocation."""
         yaml = pytest.importorskip("yaml")
         doc = yaml.safe_load(WORKFLOW.read_text())
         tier1 = doc["jobs"]["tier1"]
         matrix = tier1["strategy"]["matrix"]
-        assert set(matrix["engine"]) == {"batched", "loop"}
+        assert set(matrix) == {"python-version"}
         assert len(matrix["python-version"]) >= 3
         runs = "\n".join(step.get("run", "") for step in tier1["steps"])
-        assert "REPRO_ENGINE=${{ matrix.engine }}" in runs
-        # exactly one pytest invocation: the engine axis replaced the
-        # old second step
         assert runs.count("python -m pytest") == 1
+        assert "REPRO_ENGINE" not in WORKFLOW.read_text()
 
     def test_tier1_mp_smoke_step(self):
         """The real-process backend smoke is a separate non-pytest step
@@ -65,8 +64,8 @@ class TestWorkflow:
 
     def test_tier1_docs_lint_step(self):
         """The docs linter runs as a standalone non-pytest tier-1 step
-        (the engine-matrix contract keeps a single pytest invocation per
-        leg; dead-link checking needs no test session anyway)."""
+        (the matrix contract keeps a single pytest invocation per leg;
+        dead-link checking needs no test session anyway)."""
         yaml = pytest.importorskip("yaml")
         doc = yaml.safe_load(WORKFLOW.read_text())
         tier1 = doc["jobs"]["tier1"]
@@ -102,8 +101,8 @@ class TestWorkflow:
         assert triggers["schedule"][0]["cron"].split()[:2] != ["0", "0"]
         nightly = doc["jobs"]["nightly"]
         assert "schedule" in nightly["if"]
-        assert set(nightly["strategy"]["matrix"]["engine"]) == {"batched",
-                                                               "loop"}
+        # one nightly job, not one per kernel engine
+        assert "strategy" not in nightly
         runs = "\n".join(step.get("run", "") for step in nightly["steps"])
         assert "slow" in runs
         assert "sketch_stability" in runs
@@ -183,6 +182,17 @@ class TestWorkflow:
                          for step in doc["jobs"]["bench-smoke"]["steps"])
         assert "scripts/span_overhead_check.py" in runs
 
+    def test_bench_smoke_speedup_gate(self):
+        """bench-smoke keeps the stacked-vs-shards speedup gate at 1.5x
+        on the two kernels the committed baseline proves it for."""
+        yaml = pytest.importorskip("yaml")
+        doc = yaml.safe_load(WORKFLOW.read_text())
+        runs = "\n".join(step.get("run", "")
+                         for step in doc["jobs"]["bench-smoke"]["steps"])
+        assert "--check-speedup test_block_dot" in runs
+        assert "--check-speedup test_block_axpy" in runs
+        assert "--min-speedup 1.5" in runs
+
     def test_bench_smoke_gates_all_baselines(self):
         yaml = pytest.importorskip("yaml")
         doc = yaml.safe_load(WORKFLOW.read_text())
@@ -238,43 +248,35 @@ class TestCommittedBaseline:
         assert art.name == "kernels"
 
     def test_baseline_records_batched_speedup(self):
-        """The committed artifact proves the acceptance claim: >=1.5x on
-        block_dot and block_axpy at >=16 simulated ranks."""
+        """The committed artifact proves the acceptance claim: stacked
+        kernels >=1.5x faster than per-shard ones on block_dot and
+        block_axpy at >=16 simulated ranks."""
         from repro.bench.artifacts import load_artifact
         art = load_artifact(REPO / "benchmarks" / "BENCH_kernels.json")
         for name in ("test_block_dot", "test_block_axpy"):
-            assert art.speedup(f"{name}[loop]", f"{name}[batched]") >= 1.5
-            assert art.record(f"{name}[batched]").extra["ranks"] >= 16
+            assert art.speedup(f"{name}[shards]", f"{name}[stacked]") >= 1.5
+            assert art.record(f"{name}[stacked]").extra["ranks"] >= 16
 
     def test_sketch_baseline_artifact(self):
-        """The committed sketch baseline covers every operator family
-        under both engines, with engine-identical modeled costs."""
+        """The committed sketch baseline covers every operator family,
+        each with its modeled cost."""
         from repro.bench.artifacts import load_artifact
         art = load_artifact(REPO / "benchmarks" / "BENCH_sketch.json")
         assert art.name == "sketch"
         for family in ("sparse", "gaussian", "srht"):
-            loop = art.record(f"test_sketch_apply[{family}-loop]")
-            batched = art.record(f"test_sketch_apply[{family}-batched]")
-            assert loop.extra["modeled_seconds"] == \
-                batched.extra["modeled_seconds"]
+            rec = art.record(f"test_sketch_apply[{family}]")
+            assert rec.extra["modeled_seconds"] > 0.0
 
     def test_precision_baseline_artifact(self):
         """The committed precision baseline proves the storage-precision
-        claim: fp32 panels are charged roughly half the fp64 bytes, with
-        engine-identical modeled costs."""
+        claim: fp32 panels are charged roughly half the fp64 bytes."""
         from repro.bench.artifacts import load_artifact
         art = load_artifact(REPO / "benchmarks" / "BENCH_precision.json")
         assert art.name == "precision"
         for kernel in ("test_block_dot", "test_block_update"):
-            for engine in ("loop", "batched"):
-                m64 = art.record(f"{kernel}[fp64-{engine}]").extra[
-                    "modeled_seconds"]
-                m32 = art.record(f"{kernel}[fp32-{engine}]").extra[
-                    "modeled_seconds"]
-                assert m32 < 0.65 * m64, (kernel, engine)
-            assert art.record(f"{kernel}[fp64-loop]").extra[
-                "modeled_seconds"] == art.record(
-                f"{kernel}[fp64-batched]").extra["modeled_seconds"]
+            m64 = art.record(f"{kernel}[fp64]").extra["modeled_seconds"]
+            m32 = art.record(f"{kernel}[fp32]").extra["modeled_seconds"]
+            assert m32 < 0.65 * m64, kernel
         ir = art.record("test_gmres_ir_fp32")
         assert ir.extra["refinements"] >= 1
         assert ir.extra["iterations"] > 0
@@ -310,40 +312,33 @@ class TestCommittedBaseline:
             before = comm.tracer.clock
             sketch_multivector(basis, op)
             modeled = comm.tracer.clock - before
-            rec = art.record(f"test_sketch_apply[{family}-batched]")
+            rec = art.record(f"test_sketch_apply[{family}]")
             assert math.isclose(modeled, rec.extra["modeled_seconds"],
                                 rel_tol=1e-12), family
 
     def test_mpk_baseline_artifact(self):
         """The committed MPK baseline proves the CA acceptance claims:
         1 halo exchange per panel (vs s per panel standard), modeled
-        speedup > 1 in a latency-dominated regime, engine-identical
-        modeled seconds."""
+        speedup > 1 in a latency-dominated regime."""
         from repro.bench.artifacts import load_artifact
         art = load_artifact(REPO / "benchmarks" / "BENCH_mpk.json")
         assert art.name == "mpk"
         for mode, halos in (("standard", 30), ("ca", 6)):
-            loop = art.record(f"test_mpk_basis[{mode}-loop]")
-            batched = art.record(f"test_mpk_basis[{mode}-batched]")
-            assert loop.extra["halo_count"] == halos
-            assert loop.extra["modeled_seconds"] == \
-                batched.extra["modeled_seconds"]
+            rec = art.record(f"test_mpk_basis[{mode}]")
+            assert rec.extra["halo_count"] == halos
         lat = art.record("test_mpk_ca_latency_speedup")
         assert lat.extra["modeled_speedup_lat16x"] > 1.0
         assert lat.extra["halo_ca"] < lat.extra["halo_standard"]
 
     def test_gmres_baseline_artifact(self):
         """The committed end-to-end solver baseline covers the classical
-        pipeline under both engines plus the randomized solve path, with
-        engine-identical modeled solver seconds."""
+        pipeline plus the randomized solve path."""
         from repro.bench.artifacts import load_artifact
         art = load_artifact(REPO / "benchmarks" / "BENCH_gmres.json")
         assert art.name == "gmres"
-        loop = art.record("test_solve_two_stage[loop]")
-        batched = art.record("test_solve_two_stage[batched]")
-        assert loop.extra["modeled_seconds"] == \
-            batched.extra["modeled_seconds"]
-        assert loop.extra["iterations"] == batched.extra["iterations"]
+        two = art.record("test_solve_two_stage")
+        assert two.extra["iterations"] > 0
+        assert two.extra["modeled_seconds"] > 0.0
         rgs = art.record("test_solve_rgs_sketched")
         assert rgs.extra["iterations"] > 0
         assert art.record("test_solve_bcgs_pip2").extra["sync_count"] > 0
