@@ -178,6 +178,19 @@ def test_spmv_distributed(benchmark):
     benchmark(lambda: sim.matrix.matvec(x, out=out))
 
 
+def test_spmv_many_ranks(benchmark):
+    """One distributed SpMV in the layout benches' strong-scaling regime
+    (128 rows per rank): per-rank Python dispatch, not the CSR product,
+    is what a host SpMV loses time to here."""
+    sim = Simulation(laplace2d(ENGINE_N // ENGINE_RANKS, ENGINE_RANKS),
+                     ranks=ENGINE_RANKS, machine=generic_cpu())
+    x = sim.vector_from(np.random.default_rng(3).standard_normal(sim.n))
+    out = sim.zeros(1)
+    benchmark.extra_info["ranks"] = ENGINE_RANKS
+    _bench_layout(benchmark, sim.comm,
+                  lambda: sim.matrix.matvec(x, out=out))
+
+
 def test_sstep_gmres_one_cycle(benchmark):
     from repro.krylov.sstep_gmres import sstep_gmres
     a = laplace2d(60)

@@ -286,14 +286,17 @@ class BatchedEngine(LoopEngine):
     stack.
     """
 
-    #: Element cutoff (per operand stack) above which write-heavy kernels
-    #: keep the per-rank loop: one rank's shard fits in cache, so the loop
-    #: is effectively cache-tiled, while streaming a multi-MB stack plus
-    #: its temporaries goes to DRAM.  GEMM reductions (``block_dot``) are
-    #: exempt — BLAS tiles those internally, so batching never loses.
-    #: Both paths are elementwise-identical, so this is purely a speed
-    #: heuristic, never a semantics switch.
-    stream_elems_max: int = 131_072  # 1 MiB of float64 per operand
+    #: Element cutoff on the *written* operand's stack above which the
+    #: write-heavy kernels (``block_update``, ``trsm_inplace``,
+    #: ``scale_columns``, ``lincomb``, ``copy_into``, ``matvec_small``)
+    #: take the per-shard path: one rank's rows at a time stay close to
+    #: cache, while one pass over a multi-MB stack plus its temporaries
+    #: (for TRSM, a contiguous Fortran-order copy of the whole panel)
+    #: goes to DRAM.  Reductions (``block_dot``, ``column_norms``, the
+    #: sketches) are exempt — they write only small partials, and BLAS
+    #: tiles the GEMMs internally.  Both paths are elementwise-identical,
+    #: so this is purely a speed heuristic, never a semantics switch.
+    stream_elems_max: int = 131_072  # 1 MiB of float64
 
     @staticmethod
     def _stacks(*mvs) -> list[np.ndarray] | None:
@@ -391,9 +394,10 @@ class BatchedEngine(LoopEngine):
                                        word_bytes=_wb(v, q)))
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
-        stack = v.stack
-        if stack is None:
+        stacks = self._stream_stacks(v)
+        if stacks is None:
             return super().trsm_inplace(v, r)
+        stack = stacks[0]
         comm = v.comm
         ranks, rows, k = stack.shape
         if rows and k:

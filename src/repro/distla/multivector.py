@@ -54,11 +54,12 @@ class DistMultiVector:
             raise ShapeError(
                 f"need {partition.ranks} shards, got {len(shards)}")
         k = shards[0].shape[1] if shards else 0
+        offsets = partition.offsets.tolist()
         for r, s in enumerate(shards):
-            if s.ndim != 2 or s.shape != (partition.local_count(r), k):
+            rows = offsets[r + 1] - offsets[r]
+            if s.ndim != 2 or s.shape != (rows, k):
                 raise ShapeError(
-                    f"shard {r} has shape {s.shape}, expected "
-                    f"({partition.local_count(r)}, {k})")
+                    f"shard {r} has shape {s.shape}, expected ({rows}, {k})")
         if storage is None:
             # Infer from the container dtype (callers constructing shards
             # directly predate the precision subsystem): float32 shards

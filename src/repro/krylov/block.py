@@ -63,6 +63,7 @@ from repro.parallel.batch import BatchCharges
 from repro.precision.dtypes import word_bytes as _bytes_per_word
 from repro.precision.policy import resolve_policy
 from repro.precond.base import Preconditioner
+from repro.utils.validation import check_finite
 
 
 def _as_columns(sim: Simulation, bs) -> np.ndarray:
@@ -131,7 +132,7 @@ def block_sstep_gmres(sim: Simulation, bs, x0=None, *,
     opts = SolverOptions() if options is None else options
     if restart < s:
         raise ConfigurationError(f"restart {restart} must be >= step {s}")
-    cols = _as_columns(sim, bs)
+    cols = check_finite(_as_columns(sim, bs), "right-hand sides")
     width = cols.shape[1]
     if isinstance(basis, KrylovBasis) and width > 1:
         raise ConfigurationError(
@@ -143,7 +144,7 @@ def block_sstep_gmres(sim: Simulation, bs, x0=None, *,
     if x0 is None:
         x0s = [None] * width
     else:
-        x0_arr = np.asarray(x0, dtype=np.float64)
+        x0_arr = check_finite(np.asarray(x0, dtype=np.float64), "x0")
         if x0_arr.ndim == 1:
             x0s = [x0_arr] * width
         elif x0_arr.shape == (sim.n, width):

@@ -68,6 +68,7 @@ from repro.sketch import (
     make_operator,
     sketch_rows,
 )
+from repro.utils.validation import check_finite
 
 
 class _SolveSketch:
@@ -201,6 +202,9 @@ def sstep_gmres(sim: Simulation, b: np.ndarray,
     opts = SolverOptions() if options is None else options
     if restart < s:
         raise ConfigurationError(f"restart {restart} must be >= step {s}")
+    check_finite(b, "b")
+    if x0 is not None:
+        check_finite(x0, "x0")
     policy = resolve_policy(opts.precision)
     if scheme is None:
         scheme = _default_scheme(policy, restart)

@@ -115,6 +115,8 @@ class Partition:
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         return (isinstance(other, Partition)
                 and self.n_global == other.n_global
                 and self.ranks == other.ranks

@@ -43,6 +43,7 @@ from repro.krylov.block import block_sstep_gmres
 from repro.krylov.options import SolverOptions
 from repro.krylov.result import SolveResult
 from repro.krylov.simulation import Simulation
+from repro.utils.validation import check_finite
 
 
 @dataclass
@@ -154,12 +155,16 @@ class SolveQueue:
         if b.shape != (self.sim.n,):
             raise ShapeError(
                 f"request RHS must have {self.sim.n} entries, got {b.shape}")
+        # a non-finite request would fail deep inside the batched solve
+        # and take its co-batched requests down with it
+        check_finite(b, "request RHS")
         if x0 is not None:
             x0 = np.asarray(x0, dtype=np.float64).ravel()
             if x0.shape != (self.sim.n,):
                 raise ShapeError(
                     f"request x0 must have {self.sim.n} entries, "
                     f"got {x0.shape}")
+            check_finite(x0, "request x0")
         key = _solver_key(cfg["s"], cfg["restart"], cfg["basis"],
                           cfg["scheme_factory"], cfg["precond"],
                           cfg["options"])

@@ -227,6 +227,19 @@ class TestValidation:
             block_sstep_gmres(sim, rhs_columns(sim.n, 2),
                               basis=MonomialBasis(), s=S, restart=RESTART)
 
+    def test_nonfinite_rhs_or_x0_rejected_before_any_work(self):
+        sim = fresh_sim()
+        cols = rhs_columns(sim.n, 3)
+        cols[5, 1] = np.nan
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            block_sstep_gmres(sim, cols, s=S, restart=RESTART)
+        x0 = np.zeros(sim.n)
+        x0[0] = -np.inf
+        with pytest.raises(ConfigurationError, match="x0"):
+            block_sstep_gmres(sim, rhs_columns(sim.n, 3), x0, s=S,
+                              restart=RESTART)
+        assert sim.tracer.clock == 0.0
+
     def test_bad_x0_shape_rejected(self):
         sim = fresh_sim()
         with pytest.raises(ShapeError, match="x0"):

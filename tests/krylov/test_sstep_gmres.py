@@ -110,6 +110,17 @@ class TestConvergence:
         with pytest.raises(ConfigurationError):
             sstep_gmres(sim, np.ones(sim.n), s=10, restart=5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_b_or_x0_rejected_before_any_work(self, bad):
+        sim = make_sim(laplace2d(8))
+        poisoned = np.ones(sim.n)
+        poisoned[7] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            sstep_gmres(sim, poisoned, s=3, restart=9)
+        with pytest.raises(ConfigurationError, match="x0"):
+            sstep_gmres(sim, np.ones(sim.n), poisoned, s=3, restart=9)
+        assert sim.tracer.clock == 0.0
+
     def test_unknown_basis_rejected(self):
         sim = make_sim(laplace2d(8))
         with pytest.raises(ConfigurationError):

@@ -149,6 +149,30 @@ class TestValidation:
         with pytest.raises(ShapeError, match="x0"):
             make_queue(sim).submit(np.ones(sim.n), np.ones(3))
 
+    def test_nonfinite_request_rejected_at_submit(self):
+        sim = fresh_sim()
+        q = make_queue(sim, max_width=4, max_wait=0.0)
+        bs = rhs(sim.n, 3)
+        poisoned = bs[1].copy()
+        poisoned[3] = np.nan
+        rids = [q.submit(bs[0], tol=1e-8, now=0.0)]
+        with pytest.raises(ConfigurationError, match="RHS"):
+            q.submit(poisoned, tol=1e-8, now=0.0)
+        with pytest.raises(ConfigurationError, match="x0"):
+            q.submit(bs[1], np.full(sim.n, np.inf), tol=1e-8, now=0.0)
+        rids += [q.submit(b, tol=1e-8, now=0.0) for b in bs[1:]]
+        assert q.pending == 3
+        q.flush()
+        assert q.pending == 0 and q.dispatched_widths == [3]
+        for rid, b in zip(rids, bs):
+            assert q.done(rid)
+            res = q.result(rid)
+            ref = sstep_gmres(fresh_sim(), b, s=S, restart=RESTART,
+                              tol=1e-8)
+            np.testing.assert_array_equal(res.x, ref.x)
+            assert res.iterations == ref.iterations
+            assert res.history.residuals == ref.history.residuals
+
     def test_unknown_override_rejected(self):
         sim = fresh_sim()
         with pytest.raises(ConfigurationError, match="override"):
